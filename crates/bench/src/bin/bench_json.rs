@@ -138,6 +138,33 @@ fn bench_broker_unsubscribe(n_subs: u64, wholesale: bool) -> f64 {
     })
 }
 
+/// [`bench_broker_unsubscribe`]'s churn step followed by one publish of
+/// the scaling message: serial, or through the snapshot plane
+/// (`shared`). A snapshot shares each node's partitions with the writer,
+/// so the first write to a node after a snapshot copies that node's
+/// partitions once; the shared twin prices that copy plus the snapshot
+/// refresh on top of the churn, the serial twin takes no snapshot.
+fn bench_broker_publish_after_churn(n_subs: u64, shared: bool) -> f64 {
+    let mut net = broker_with_subs(n_subs);
+    let window = (n_subs / 5).max(1);
+    let mut step = 0u64;
+    measure_with_reset(
+        &mut net,
+        |net| {
+            let id = n_subs - window + (step % window);
+            step += 1;
+            net.unsubscribe(SubId(id));
+            net.subscribe(scaling_sub(id));
+            if shared {
+                net.publish_shared(scaling_message()).delivered()
+            } else {
+                net.publish(scaling_message())
+            }
+        },
+        |net| net.reset_stats(),
+    )
+}
+
 /// Subscription *arrival* against a covering-sparse standing population:
 /// one fresh distinct subscription installed and incrementally removed
 /// per op. Install cost is the covering resolution at every path hop —
@@ -470,6 +497,10 @@ fn main() {
         ("broker/publish-batch-64-serial", || bench_broker_publish_batch(5000, true)),
         ("broker/unsubscribe-5000-pop", || bench_broker_unsubscribe(5000, false)),
         ("broker/unsubscribe-5000-pop-wholesale", || bench_broker_unsubscribe(5000, true)),
+        ("broker/publish-after-churn-5000-pop", || bench_broker_publish_after_churn(5000, false)),
+        ("broker/publish-shared-after-churn-5000-pop", || {
+            bench_broker_publish_after_churn(5000, true)
+        }),
         ("broker/fail-link-5000-pop", || bench_broker_fail_link(5000, false)),
         ("broker/fail-link-5000-pop-wholesale", || bench_broker_fail_link(5000, true)),
         ("broker/fail-node-5000-pop", || bench_broker_fail_node(5000, false)),

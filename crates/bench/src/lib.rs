@@ -368,7 +368,8 @@ pub mod fixtures {
     ) -> (cosmos_pubsub::RecoveryNetwork, NodeId) {
         let lossy = lossy_broker(n_subs, 0.0);
         let host = churn_node(lossy.network());
-        let mut r = cosmos_pubsub::RecoveryNetwork::new(lossy, u64::MAX / 2);
+        let mut r =
+            cosmos_pubsub::RecoveryNetwork::new(lossy, u64::MAX / 2).expect("positive interval");
         r.host_engine(
             host,
             vec![(

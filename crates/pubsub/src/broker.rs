@@ -52,28 +52,28 @@
 //! # Parallel data plane: snapshots
 //!
 //! The network is split read-copy-update style. All churn above stays
-//! **single-writer** (`&mut self`) and only additionally marks the nodes
-//! whose tables it touched in a dirty set. The **read side** is an
-//! immutable [`RoutingSnapshot`] built on demand by
-//! [`BrokerNetwork::snapshot`]: each dirty node's table is frozen
-//! ([`crate::index::RoutingTable::freeze`]), clean nodes reuse the
-//! previous snapshot's frozen table by `Arc`, and the result is published
-//! through a [`SnapshotCell`]. Any number of [`SnapshotReader`]s
-//! (`BrokerNetwork::reader`) then publish concurrently against their
-//! snapshot handle with zero locks and zero shared mutable state; their
-//! [`ReaderOutput`]s merge deterministically back into the broker's log
-//! and link counters ([`BrokerNetwork::absorb`]), bit-identical to serial
-//! [`BrokerNetwork::publish`] order. [`BrokerNetwork::publish_shared`] is
-//! the convenience `&self` publish for callers that just want one message
-//! matched from any thread. Snapshot builds are cheap dirty-marking away
-//! from the churn path: subscribe/unsubscribe never freeze anything —
-//! only an explicit `snapshot()` (or the first `publish_shared` after
-//! churn) pays for the nodes that actually changed.
+//! **single-writer** (`&mut self`) and bumps a routing version. The
+//! **read side** is an immutable [`RoutingSnapshot`] built on demand by
+//! [`BrokerNetwork::snapshot`]: every node's table keeps its stream
+//! partitions behind one `Arc`, so a snapshot clones those `Arc`s and is
+//! published through a [`SnapshotCell`]. Tables write through
+//! `Arc::make_mut`, so the first write to a node after a snapshot copies
+//! that node's partitions once while the snapshot keeps the old ones;
+//! serial publishing takes no snapshot and never pays that copy. Any
+//! number of [`SnapshotReader`]s (`BrokerNetwork::reader`) then publish
+//! concurrently against their snapshot handle with zero locks and zero
+//! shared mutable state, through the same matching kernel as
+//! [`BrokerNetwork::publish`]; their [`ReaderOutput`]s merge
+//! deterministically back into the broker's log and link counters
+//! ([`BrokerNetwork::absorb`]), bit-identical to serial publish order.
+//! [`BrokerNetwork::publish_shared`] is the convenience `&self` publish
+//! for callers that just want one message matched from any thread.
 
 use crate::index::{
-    BatchMatchOutput, ForwardInsert, ForwardedSet, MatchOutput, RoutingTable, SubSkeleton,
+    BatchMatchOutput, ForwardInsert, ForwardedSet, MatchScratch, Partition, RoutingTable,
+    SubSkeleton,
 };
-use crate::snapshot::{FrozenTable, ReaderOutput, RoutingSnapshot, SnapshotReader};
+use crate::snapshot::{ReaderOutput, RoutingSnapshot, SnapshotReader};
 use crate::subscription::{Message, StreamProjection, SubId, Subscription};
 use cosmos_net::{NodeId, ShortestPathTree, Topology};
 use cosmos_query::Scalar;
@@ -177,48 +177,6 @@ fn routing_covers(general: &Subscription, specific: &Subscription) -> bool {
 /// reader pools ([`BrokerNetwork::publish_shared`]) never mix networks.
 static NET_IDS: AtomicU64 = AtomicU64::new(0);
 
-/// Nodes whose routing tables changed since the last snapshot build.
-/// Churn only marks here (cheap); [`BrokerNetwork::snapshot`] drains it,
-/// freezing exactly the marked nodes.
-#[derive(Debug, Default)]
-struct DirtyNodes {
-    nodes: BTreeSet<u32>,
-    /// Everything is dirty (initial state, wholesale rebuilds): the next
-    /// build freezes every node and ignores `nodes`.
-    all: bool,
-}
-
-/// Per-batch wire-size memo for link statistics. A hop whose union
-/// projection keeps the whole record forwards the message's own value row
-/// (`Arc`-shared), so its wire size is the same on every link it crosses;
-/// the memo recognizes that case by value-row pointer and charges the
-/// bytes from one computation per message instead of one per link.
-/// Narrowed projections produce fresh value rows, miss the pointer check,
-/// and are measured directly — identical bytes either way.
-struct WireSizeCache {
-    /// Each tag's original value-row pointer (validity token, never
-    /// dereferenced; the publish batch outlives the cache).
-    ptrs: Vec<*const Scalar>,
-    sizes: Vec<Option<u64>>,
-}
-
-impl WireSizeCache {
-    fn new(run: &[Message]) -> Self {
-        Self {
-            ptrs: run.iter().map(|m| m.values().as_ptr()).collect(),
-            sizes: vec![None; run.len()],
-        }
-    }
-
-    fn wire_size(&mut self, tag: u32, m: &Message) -> u64 {
-        if m.values().as_ptr() == self.ptrs[tag as usize] {
-            *self.sizes[tag as usize].get_or_insert_with(|| m.wire_size() as u64)
-        } else {
-            m.wire_size() as u64
-        }
-    }
-}
-
 /// Monotone `u64` image of a value under ascending numeric order (sign
 /// bit flipped for positives, all bits for negatives — the `total_cmp`
 /// bit trick); `None` for values without a numeric interpretation.
@@ -228,19 +186,146 @@ fn sort_bits(v: &Scalar) -> Option<u64> {
     Some(if b >> 63 == 1 { !b } else { b | (1 << 63) })
 }
 
-/// Where a hop's forwarded record lives while a batch's sub-batches are
-/// regrouped: `Same` borrows the matched message itself (identity union
-/// projection), `Proj` indexes the forwarding node's arena of narrowed
-/// records.
-#[derive(Debug, Clone, Copy)]
-enum FwdSlot {
-    Same(u32),
-    Proj(u32),
+/// Where a [`Walk`] finds each node's partitions: the broker's own
+/// tables, or a snapshot's shared partitions with a reader's scratch.
+pub(crate) trait Plane {
+    /// The partition of `stream` at `node`, with the scratch to match it.
+    fn partition(
+        &mut self,
+        node: NodeId,
+        stream: Symbol,
+    ) -> Option<(&Partition, &mut MatchScratch)>;
 }
 
-/// One hop's regrouped sub-batch under construction: `(tag, slot)` pairs
-/// in match order.
-type HopSlots = Vec<(u32, FwdSlot)>;
+impl Plane for [RoutingTable] {
+    fn partition(
+        &mut self,
+        node: NodeId,
+        stream: Symbol,
+    ) -> Option<(&Partition, &mut MatchScratch)> {
+        self[node.index()].partition(stream)
+    }
+}
+
+/// The forwarding walk of both publish planes, its buffers reused across
+/// publishes. A walk carries a run of same-stream messages from their
+/// source: at each node one kernel call ([`Partition::match_batch`])
+/// matches the whole batch, the forwards regroup into one sub-batch per
+/// next hop, each link is charged once per message crossing it, and the
+/// hops recurse in ascending node order — the order a one-message walk
+/// visits them — so restricting the walk to any one message reproduces
+/// that message's own walk, and each tag's deliveries come out in its
+/// serial order.
+#[derive(Debug, Default)]
+pub(crate) struct Walk {
+    /// The run's messages, then every narrowed projection the walk made.
+    /// Batches refer to records by index, so a record is stored once
+    /// however many pass-through hops it crosses.
+    records: Vec<Message>,
+    /// Wire size per record, computed when first charged to a link.
+    sizes: Vec<Option<u64>>,
+    /// Projections made at the current node, appended to `records` once
+    /// its match returns.
+    fresh: Vec<Message>,
+    out: BatchMatchOutput,
+    /// The current run's batch at its source.
+    root: Batch,
+    /// Spare per-hop sub-batches and per-node hop lists.
+    hop_pool: Vec<Batch>,
+    next_pool: Vec<Vec<(NodeId, Batch)>>,
+}
+
+/// `(tag, index into the walk's records)` pairs, matched together.
+type Batch = Vec<(u64, u32)>;
+
+impl Walk {
+    /// Publishes `run` (non-empty, same-stream messages, the `k`-th
+    /// tagged `k`) from `src`, handing every delivery to `deliver` and
+    /// charging `links`. With `sort_attr` the batch is matched in order
+    /// of that value-row position's value: sub-batches inherit the
+    /// order, so every node's eq-directory cursor advances monotonically.
+    /// The per-tag outcome is the same in any order.
+    pub(crate) fn run(
+        &mut self,
+        plane: &mut (impl Plane + ?Sized),
+        src: NodeId,
+        run: &[Message],
+        sort_attr: Option<usize>,
+        deliver: &mut impl FnMut(u64, Delivery),
+        links: &mut HashMap<(NodeId, NodeId), LinkStats>,
+    ) {
+        self.records.clear();
+        self.records.extend_from_slice(run);
+        self.sizes.clear();
+        let mut root = std::mem::take(&mut self.root);
+        root.clear();
+        root.extend((0..run.len()).map(|k| (k as u64, k as u32)));
+        if let Some(attr) = sort_attr {
+            let schema = run[0].schema().attrs().as_ptr();
+            root.sort_by_key(|&(_, r)| {
+                let m = &run[r as usize];
+                let same_schema = m.schema().attrs().as_ptr() == schema;
+                same_schema.then(|| sort_bits(&m.values()[attr])).flatten()
+            });
+        }
+        self.forward(plane, src, None, &root, deliver, links);
+        self.root = root;
+    }
+
+    fn forward(
+        &mut self,
+        plane: &mut (impl Plane + ?Sized),
+        node: NodeId,
+        from: Option<NodeId>,
+        batch: &[(u64, u32)],
+        deliver: &mut impl FnMut(u64, Delivery),
+        links: &mut HashMap<(NodeId, NodeId), LinkStats>,
+    ) {
+        let stream = self.records[batch[0].1 as usize].stream;
+        let Some((part, scratch)) = plane.partition(node, stream) else { return };
+        let mut next = self.next_pool.pop().unwrap_or_default();
+        let base = u32::try_from(self.records.len()).expect("walk record overflow");
+        let Walk { records, fresh, out, hop_pool, .. } = self;
+        part.match_batch(scratch, records, batch, from, out, |tag, rec, out| {
+            for (sub, message) in out.deliveries.drain(..) {
+                deliver(tag, Delivery { sub, node, message });
+            }
+            for (hop, fwd) in out.forwards.drain(..) {
+                let rec = match fwd {
+                    None => rec,
+                    Some(m) => {
+                        fresh.push(m);
+                        base + fresh.len() as u32 - 1
+                    }
+                };
+                match next.binary_search_by_key(&hop, |(n, _)| *n) {
+                    Ok(i) => next[i].1.push((tag, rec)),
+                    Err(i) => {
+                        let mut hop_batch = hop_pool.pop().unwrap_or_default();
+                        hop_batch.push((tag, rec));
+                        next.insert(i, (hop, hop_batch));
+                    }
+                }
+            }
+        });
+        self.records.append(&mut self.fresh);
+        self.sizes.resize(self.records.len(), None);
+        for (hop, mut hop_batch) in next.drain(..) {
+            let key = if node <= hop { (node, hop) } else { (hop, node) };
+            let stats = links.entry(key).or_default();
+            stats.messages += hop_batch.len() as u64;
+            for &(_, rec) in &hop_batch {
+                let r = rec as usize;
+                stats.bytes +=
+                    *self.sizes[r].get_or_insert_with(|| self.records[r].wire_size() as u64);
+            }
+            self.forward(plane, hop, Some(node), &hop_batch, deliver, links);
+            hop_batch.clear();
+            self.hop_pool.push(hop_batch);
+        }
+        self.next_pool.push(next);
+    }
+}
 
 /// A content-based broker network over a physical topology.
 ///
@@ -272,7 +357,7 @@ pub struct BrokerNetwork {
     adv_trees: HashMap<NodeId, ShortestPathTree>,
     /// Per-node routing tables (stream-partitioned counting indexes; see
     /// [`crate::index`]).
-    tables: Vec<RoutingTable>,
+    pub(crate) tables: Vec<RoutingTable>,
     /// Per-node, per-source: subscriptions already forwarded toward that
     /// source (for covering-based pruning), with covering buckets so the
     /// prune check is sublinear in the forwarded population.
@@ -295,23 +380,13 @@ pub struct BrokerNetwork {
     /// `*_linear` oracle twin of subscription arrival (see
     /// [`BrokerNetwork::new_linear`]).
     linear_install: bool,
-    /// Pool of match-output buffers reused across [`BrokerNetwork::forward`]
-    /// recursion depths (steady-state publishing allocates nothing here).
-    scratch: Vec<MatchOutput>,
-    /// Pool of tagged forward-slot buffers reused across
-    /// [`BrokerNetwork::forward_batch`] recursion — one buffer per
-    /// (node, hop) edge of a batch's union dissemination tree, recycled
-    /// when the hop's sub-batch is materialized.
-    batch_pool: Vec<HopSlots>,
-    /// Pool of batched match-output buffers (the batched twin of
-    /// `scratch`).
-    batch_scratch: Vec<BatchMatchOutput>,
-    /// Pool of per-node hop-grouping buffers for
-    /// [`BrokerNetwork::forward_batch`] (outer vector of the per-hop
-    /// slot regrouping).
-    next_pool: Vec<Vec<(NodeId, HopSlots)>>,
+    /// The publish walk's reusable buffers.
+    walk: Walk,
     link_stats: HashMap<(NodeId, NodeId), LinkStats>,
     log: DeliveryLog,
+    /// The publish-batch tag of each delivery a batch appended to `log`,
+    /// reused across batches.
+    log_tags: Vec<u64>,
     /// Routing-state version: bumped by every churn operation. Written
     /// only under `&mut self`, read under `&self` — the staleness probe
     /// for [`BrokerNetwork::snapshot`].
@@ -321,10 +396,6 @@ pub struct BrokerNetwork {
     /// The published snapshot (read-copy-update slot). Lazily rebuilt by
     /// [`BrokerNetwork::snapshot`] when `version` moved past it.
     snap: SnapshotCell<RoutingSnapshot>,
-    /// Dirty-node set behind a mutex only because concurrent `&self`
-    /// snapshot builders must drain it; churn (`&mut self`) and builds
-    /// take it for nanoseconds, never on the publish path.
-    dirty: parking_lot::Mutex<DirtyNodes>,
 }
 
 impl BrokerNetwork {
@@ -342,23 +413,19 @@ impl BrokerNetwork {
             dependents: HashMap::new(),
             next_seq: 0,
             linear_install: false,
-            scratch: Vec::new(),
-            batch_pool: Vec::new(),
-            batch_scratch: Vec::new(),
-            next_pool: Vec::new(),
+            walk: Walk::default(),
             link_stats: HashMap::new(),
             log: DeliveryLog::default(),
+            log_tags: Vec::new(),
             version: 0,
             net_id: NET_IDS.fetch_add(1, Ordering::Relaxed),
-            // Placeholder pre-first-build snapshot; `dirty.all` below
-            // guarantees the first build replaces it wholesale, and the
-            // sentinel version can never equal a real one.
+            // Placeholder pre-first-build snapshot: the sentinel version
+            // can never equal a real one.
             snap: SnapshotCell::new(Arc::new(RoutingSnapshot {
                 version: u64::MAX,
                 stream_source: HashMap::new(),
                 tables: Vec::new(),
             })),
-            dirty: parking_lot::Mutex::new(DirtyNodes { nodes: BTreeSet::new(), all: true }),
         }
     }
 
@@ -404,18 +471,7 @@ impl BrokerNetwork {
             .or_insert_with(|| ShortestPathTree::compute(&self.topo, source));
         self.stream_source.insert(stream, source);
         // No table changed, but snapshots embed the stream→source map.
-        self.mark_churn(std::iter::empty());
-    }
-
-    /// Bumps the routing-state version and marks the touched nodes dirty —
-    /// the only thing churn pays toward the snapshot plane (no freezing
-    /// here; [`BrokerNetwork::snapshot`] does that on demand).
-    fn mark_churn(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
         self.version += 1;
-        let mut dirty = self.dirty.lock();
-        if !dirty.all {
-            dirty.nodes.extend(nodes.into_iter().map(|n| n.index() as u32));
-        }
     }
 
     /// The advertised source of `stream`, if any.
@@ -589,9 +645,7 @@ impl BrokerNetwork {
                 }
             }
         }
-        // Every table this install touched (inserts, covering drops,
-        // compactions) sits at a node in `rec_entries` — mark them once.
-        self.mark_churn(rec_entries.iter().map(|&(n, _)| n));
+        self.version += 1;
         let rec = self.records.get_mut(&id).expect("installing an unregistered subscription");
         rec.entries.extend(rec_entries);
         rec.forwarded.extend(rec_forwarded);
@@ -671,7 +725,7 @@ impl BrokerNetwork {
         let entries = std::mem::take(&mut rec.entries);
         let forwarded = std::mem::take(&mut rec.forwarded);
         let depends_on = std::mem::take(&mut rec.depends_on);
-        self.mark_churn(entries.iter().map(|&(n, _)| n));
+        self.version += 1;
         for (node, to) in entries {
             self.tables[node.index()].remove_entry(id, to);
         }
@@ -764,11 +818,6 @@ impl BrokerNetwork {
     /// observable order is unchanged) — the wholesale maintenance path.
     fn rebuild_all(&mut self) {
         self.version += 1;
-        {
-            let mut dirty = self.dirty.lock();
-            dirty.all = true;
-            dirty.nodes.clear();
-        }
         for table in &mut self.tables {
             table.clear();
         }
@@ -790,21 +839,17 @@ impl BrokerNetwork {
     }
 
     /// Publishes a message from its advertised source, forwarding it along
-    /// routing tables. Returns the number of local deliveries.
+    /// routing tables — a [`BrokerNetwork::publish_batch`] of one.
+    /// Returns the number of local deliveries.
     ///
     /// Messages for unadvertised streams go nowhere and return 0.
     pub fn publish(&mut self, msg: Message) -> usize {
-        let Some(&src) = self.stream_source.get(&msg.stream) else {
-            return 0;
-        };
-        let before = self.log.len();
-        self.forward(src, None, msg);
-        self.log.len() - before
+        self.publish_batch(std::slice::from_ref(&msg))
     }
 
     /// Publishes a slice of messages with batched index walks, returning
     /// the number of local deliveries. The delivery log and link stats
-    /// end up **bit-identical** to publishing each message serially in
+    /// end up **bit-identical** to publishing each message on its own in
     /// slice order: maximal runs of consecutive same-stream messages
     /// share one forwarding walk — one table lookup, one counter-epoch
     /// range and one scratch-buffer cycle per node instead of one per
@@ -815,139 +860,35 @@ impl BrokerNetwork {
     /// [`BrokerNetwork::publish`].
     pub fn publish_batch(&mut self, msgs: &[Message]) -> usize {
         let before = self.log.len();
-        let mut i = 0;
-        while i < msgs.len() {
-            let stream = msgs[i].stream;
-            let mut j = i + 1;
-            while j < msgs.len() && msgs[j].stream == stream {
-                j += 1;
-            }
-            if let Some(&src) = self.stream_source.get(&stream) {
-                let run = &msgs[i..j];
-                let mut batch: Vec<(u32, &Message)> =
-                    run.iter().enumerate().map(|(k, m)| (k as u32, m)).collect();
-                // Process the run in routed-value order: sub-batches
-                // inherit it, so every node's eq-directory cursor walk
-                // advances monotonically. Tags keep the slice positions,
-                // and the log sort below restores slice order, so the
-                // published outcome is order-independent.
-                let probe =
-                    self.tables[src.index()].first_indexed_attr(stream, msgs[i].schema().attrs());
-                if let Some(attr) = probe {
-                    batch.sort_by_key(|(_, m)| {
-                        let same_schema =
-                            m.schema().attrs().as_ptr() == msgs[i].schema().attrs().as_ptr();
-                        same_schema.then(|| sort_bits(&m.values()[attr])).flatten()
-                    });
-                }
-                let mut sizes = WireSizeCache::new(run);
-                let mut logs: Vec<(u32, Delivery)> = Vec::new();
-                self.forward_batch(src, None, &batch, &mut logs, &mut sizes);
+        for run in msgs.chunk_by(|a, b| a.stream == b.stream) {
+            let stream = run[0].stream;
+            let Some(&src) = self.stream_source.get(&stream) else { continue };
+            let sort_attr = if run.len() > 1 {
+                self.tables[src.index()].first_indexed_attr(stream, run[0].schema().attrs())
+            } else {
+                None
+            };
+            let start = self.log.len();
+            let mut tags = std::mem::take(&mut self.log_tags);
+            tags.clear();
+            let log = &mut self.log.deliveries;
+            let mut deliver = |tag, d| {
+                log.push(d);
+                tags.push(tag);
+            };
+            let table = &mut self.tables[..];
+            self.walk.run(table, src, run, sort_attr, &mut deliver, &mut self.link_stats);
+            if run.len() > 1 {
                 // Stable by tag: each tag's pushes happened in its serial
-                // forwarding order, so the sorted whole is the serial log.
-                logs.sort_by_key(|&(tag, _)| tag);
-                self.log.deliveries.extend(logs.into_iter().map(|(_, d)| d));
+                // forwarding order, so the sorted tail is the serial log.
+                let tail = self.log.deliveries.split_off(start);
+                let mut tagged: Vec<(u64, Delivery)> = tags.iter().copied().zip(tail).collect();
+                tagged.sort_by_key(|&(tag, _)| tag);
+                self.log.deliveries.extend(tagged.into_iter().map(|(_, d)| d));
             }
-            i = j;
+            self.log_tags = tags;
         }
         self.log.len() - before
-    }
-
-    /// Batched twin of [`BrokerNetwork::forward`]: matches the whole
-    /// same-stream batch through one [`RoutingTable::match_batch_into`]
-    /// walk, tagging each delivery with its message's batch position and
-    /// regrouping forwards into per-hop sub-batches. Hops recurse in
-    /// ascending node order — the same order serial recursion visits them
-    /// — so restricting this union DFS to any single message's subtree
-    /// reproduces that message's serial forwarding walk exactly, and each
-    /// tag's deliveries land in `logs` in serial order. Link stats are
-    /// order-independent sums and accumulate per sub-batch.
-    ///
-    /// Sub-batches borrow their messages: an identity forward reuses the
-    /// incoming batch's reference and a narrowing one points into this
-    /// call's `projected` arena (alive until the hop recursions return),
-    /// so a record crossing k pass-through hops is cloned zero times
-    /// instead of k. Slot buffers cycle through `batch_pool` and match
-    /// outputs through `batch_scratch`, so steady-state batched
-    /// publishing only allocates the per-node materialization arena.
-    fn forward_batch(
-        &mut self,
-        node: NodeId,
-        from: Option<NodeId>,
-        batch: &[(u32, &Message)],
-        logs: &mut Vec<(u32, Delivery)>,
-        sizes: &mut WireSizeCache,
-    ) {
-        let mut out = self.batch_scratch.pop().unwrap_or_default();
-        // Records produced by narrowing union projections; identity
-        // forwards never land here.
-        let mut projected: Vec<Message> = Vec::new();
-        let mut next = self.next_pool.pop().unwrap_or_default();
-        // Batch position of the message currently being sunk (sink runs
-        // once per batch entry, in order).
-        let mut pos: u32 = 0;
-        let (tables, pool) = (&mut self.tables, &mut self.batch_pool);
-        tables[node.index()].match_batch_into(batch, from, &mut out, |tag, out| {
-            for (sub, message) in out.deliveries.drain(..) {
-                logs.push((tag, Delivery { sub, node, message }));
-            }
-            for (hop, fwd) in out.forwards.drain(..) {
-                let slot = match fwd {
-                    None => FwdSlot::Same(pos),
-                    Some(m) => {
-                        projected.push(m);
-                        FwdSlot::Proj(projected.len() as u32 - 1)
-                    }
-                };
-                match next.binary_search_by_key(&hop, |(n, _)| *n) {
-                    Ok(i) => next[i].1.push((tag, slot)),
-                    Err(i) => {
-                        let mut slots = pool.pop().unwrap_or_default();
-                        slots.push((tag, slot));
-                        next.insert(i, (hop, slots));
-                    }
-                }
-            }
-            pos += 1;
-        });
-        self.batch_scratch.push(out);
-        for (hop, mut slots) in next.drain(..) {
-            let sub_batch: Vec<(u32, &Message)> = slots
-                .iter()
-                .map(|&(tag, ref slot)| match *slot {
-                    FwdSlot::Same(b) => (tag, batch[b as usize].1),
-                    FwdSlot::Proj(p) => (tag, &projected[p as usize]),
-                })
-                .collect();
-            slots.clear();
-            self.batch_pool.push(slots);
-            let key = if node <= hop { (node, hop) } else { (hop, node) };
-            let stats = self.link_stats.entry(key).or_default();
-            stats.messages += sub_batch.len() as u64;
-            stats.bytes += sub_batch.iter().map(|&(tag, m)| sizes.wire_size(tag, m)).sum::<u64>();
-            self.forward_batch(hop, Some(node), &sub_batch, logs, sizes);
-        }
-        self.next_pool.push(next);
-    }
-
-    fn forward(&mut self, node: NodeId, from: Option<NodeId>, msg: Message) {
-        // Indexed matching: counting pass + residuals, with local and
-        // per-hop projections applied from their cached plans. The output
-        // buffers come from a per-network pool keyed by recursion depth,
-        // so steady-state publishing allocates nothing here.
-        let mut out = self.scratch.pop().unwrap_or_default();
-        self.tables[node.index()].match_message_into(&msg, from, &mut out);
-        for (sub, message) in out.deliveries.drain(..) {
-            self.log.deliveries.push(Delivery { sub, node, message });
-        }
-        for (next, fwd) in out.forwards.drain(..) {
-            let key = if node <= next { (node, next) } else { (next, node) };
-            let stats = self.link_stats.entry(key).or_default();
-            stats.messages += 1;
-            stats.bytes += fwd.wire_size() as u64;
-            self.forward(next, Some(node), fwd);
-        }
-        self.scratch.push(out);
     }
 
     /// The routing-state version: bumped by every churn operation
@@ -959,46 +900,21 @@ impl BrokerNetwork {
     }
 
     /// The current routing snapshot, building it first if churn happened
-    /// since the last build (read-copy-update commit). Only dirty nodes'
-    /// tables are frozen; clean nodes reuse the previous snapshot's
-    /// frozen tables by `Arc`. With no churn this is a version check and
-    /// an `Arc` clone. Callable from any thread (`&self`).
+    /// since the last build (read-copy-update commit): a build clones each
+    /// node's partition `Arc` — no table is copied until its next write.
+    /// With no churn this is a version check and an `Arc` clone. Callable
+    /// from any thread (`&self`); racing builders produce equal snapshots.
     pub fn snapshot(&self) -> Arc<RoutingSnapshot> {
         let cur = self.snap.load();
         if cur.version == self.version {
             return cur;
         }
-        let mut dirty = self.dirty.lock();
-        // Re-check under the lock: a racing builder may have committed.
-        let cur = self.snap.load();
-        if cur.version == self.version {
-            return cur;
-        }
-        let tables: Vec<Arc<FrozenTable>> = if dirty.all {
-            self.tables.iter().map(|t| Arc::new(t.freeze())).collect()
-        } else {
-            // `cur` was itself a full build (dirty starts `all`), so it
-            // has a frozen table for every clean node.
-            self.tables
-                .iter()
-                .enumerate()
-                .map(|(n, t)| {
-                    if dirty.nodes.contains(&(n as u32)) {
-                        Arc::new(t.freeze())
-                    } else {
-                        Arc::clone(&cur.tables[n])
-                    }
-                })
-                .collect()
-        };
         let next = Arc::new(RoutingSnapshot {
             version: self.version,
             stream_source: self.stream_source.clone(),
-            tables,
+            tables: self.tables.iter().map(|t| Arc::clone(t.partitions())).collect(),
         });
         self.snap.store(Arc::clone(&next));
-        dirty.nodes.clear();
-        dirty.all = false;
         next
     }
 
@@ -1424,7 +1340,7 @@ impl BrokerNetwork {
             self.dependents.remove(&id);
         }
         self.repropagate(&wave);
-        self.mark_churn([n]);
+        self.version += 1;
         Some(edges)
     }
 
@@ -1494,7 +1410,7 @@ impl BrokerNetwork {
         }
         let wave = self.dependent_closure(roots);
         self.repropagate(&wave);
-        self.mark_churn([n]);
+        self.version += 1;
         true
     }
 
@@ -1547,15 +1463,16 @@ impl BrokerNetwork {
     /// Matches `msg` at a single broker without forwarding — the one-hop
     /// matching step the reliable-delivery plane ([`crate::reliable`])
     /// drives explicitly, since it owns transport, retransmission, and
-    /// link accounting itself.
+    /// link accounting itself. `out` holds the result, identity forwards
+    /// as `None`.
     pub(crate) fn match_one(
         &mut self,
         node: NodeId,
         from: Option<NodeId>,
         msg: &Message,
-        out: &mut MatchOutput,
+        out: &mut BatchMatchOutput,
     ) {
-        self.tables[node.index()].match_message_into(msg, from, out);
+        self.tables[node.index()].match_one(msg, from, out);
     }
 
     /// The advertised source of an interned stream symbol.

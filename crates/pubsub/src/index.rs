@@ -42,11 +42,11 @@
 //! Matching is sublinear, but a high-match-rate message still pays a
 //! *linear-in-matches* delivery term. The index bounds its constant with
 //! **projection classes**: local-delivery members of a partition are
-//! grouped at install time by their exact retained-attribute set
-//! ([`ProjClass`]), each distinct projection is computed **once per
-//! message**, and every matched member of the class receives the same
-//! `Arc`-shared [`Message`] — per delivery, a refcount bump and a log
-//! push, no scalar copies. A population of thousands of subscribers
+//! grouped at install time by their exact retained-attribute set, each
+//! distinct projection is computed **once per message**, and every
+//! matched member of the class receives the same `Arc`-shared
+//! [`Message`] — per delivery, a refcount bump and a log push, no scalar
+//! copies. A population of thousands of subscribers
 //! usually requests a handful of distinct projections, so the projection
 //! work per message is O(classes), not O(matches).
 //!
@@ -75,7 +75,7 @@
 //!   overflows splits in half (two directory entries replace one). Probes
 //!   descend directory-then-run, so a match visits only the runs its
 //!   satisfied range touches. Removal never edits runs on the match path:
-//!   the member dead flag neutralizes stale references during counting,
+//!   a dead member's unreachable target neutralizes stale references,
 //!   and [`TieredList::retain_vals`] sweeps them run-at-a-time when the
 //!   table compacts, merging underfull survivors — but never past the
 //!   split steady state, so a sweep cannot force the next insert to
@@ -96,10 +96,11 @@
 //!   `(subscription id, direction)` — the primitive the broker's
 //!   per-subscription [`crate::broker::BrokerNetwork`] ledger drives on
 //!   unsubscribe and link failure/recovery. Removal tombstones the entry:
-//!   threshold lists keep stale references that the dead flag neutralizes
-//!   during counting, the affected hop group's needs-union is recomputed
-//!   from its surviving members **only** (no other group is touched), and
-//!   emptied projection classes simply stop being filled. Once tombstones
+//!   threshold lists keep stale references that the dead member's
+//!   unreachable target neutralizes, the affected hop group's
+//!   needs-union is recomputed from its surviving members **only** (no
+//!   other group is touched), and emptied projection classes simply stop
+//!   being filled. Once tombstones
 //!   dominate ([`tombstones_dominate`]: dead at least matches live, past
 //!   a small absolute floor so tiny tables never thrash) the table
 //!   compacts — threshold lists are swept run-at-a-time
@@ -149,25 +150,25 @@
 //!   never sees — by the time a message is matched here it is already
 //!   exactly-once.
 //!
-//! # Concurrency: the frozen twin
+//! # Concurrency: shared partitions
 //!
-//! This table is the broker's single-writer *churn-path* representation:
-//! matching mutates per-member epoch counters and per-class caches, so a
-//! `RoutingTable` is inherently `&mut`. The parallel publish plane never
-//! shares it. Instead [`RoutingTable::freeze`] produces an immutable
-//! [`crate::snapshot::FrozenTable`] — live members only, slots densely
-//! remapped in original order so `(seq, slot)` candidate ordering (and
-//! therefore delivery order) is preserved bit-for-bit — and *all* match
-//! scratch moves into per-reader state
-//! ([`crate::snapshot::SnapshotReader`]). Install-time helpers take a
-//! precomputed [`SubSkeleton`] (the per-stream indexable/residual split)
-//! so one source walk derives each stream's skeleton once instead of
-//! re-splitting at every hop for the skip probe, the victim probes and
-//! the insert.
+//! Each stream's match state is an immutable [`Partition`]; everything a
+//! match writes (epoch-versioned counters, candidate buffers, projection
+//! plan caches) lives in a separate [`MatchScratch`] owned by whoever
+//! matches. [`Partition::match_batch`] is the one matching kernel: the
+//! table's serial and batched publish, the lossy plane's one-hop match
+//! and every [`crate::snapshot::SnapshotReader`] run it, a single
+//! message being a batch of one. A table keeps its partitions behind one
+//! `Arc` and writes through [`Arc::make_mut`], so a snapshot is the
+//! per-node `Arc` clones and the first write to a node after a snapshot
+//! copies that node's partitions once. Tombstoned members stay in place
+//! (their target becomes unreachable), so candidate `(seq, slot)` order —
+//! and with it delivery order — is the same for every matcher.
+//! Install-time helpers take a precomputed [`SubSkeleton`] (the
+//! per-stream indexable/residual split) so one source walk derives each
+//! stream's skeleton once instead of re-splitting at every hop for the
+//! skip probe, the victim probes and the insert.
 
-use crate::snapshot::{
-    FrozenAction, FrozenHop, FrozenLists, FrozenMember, FrozenPartition, FrozenTable,
-};
 use crate::subscription::{CachedProjection, Message, StreamProjection, SubId, Subscription};
 use crate::tiered::{tombstones_dominate, TieredList};
 use cosmos_net::NodeId;
@@ -176,6 +177,7 @@ use cosmos_query::containment::coverer_bounds;
 use cosmos_query::CmpOp;
 use cosmos_util::Symbol;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One installed routing entry: a subscription plus its forwarding
 /// direction (`None` = deliver locally at this node).
@@ -191,43 +193,32 @@ struct Entry {
     dead: bool,
 }
 
-/// A per-`(next hop)` group within one stream partition: the precomputed
-/// union of member needs-projections, applied once per message when any
-/// member matches.
-#[derive(Debug)]
+/// A per-`(next hop)` group within one stream partition: the union of
+/// member needs-projections, applied once per message when any member
+/// matches (through a plan cache in the matcher's [`MatchScratch`]).
+#[derive(Debug, Clone)]
 struct HopGroup {
     to: NodeId,
-    /// Union of `Subscription::needs` over live members, with a cached
-    /// per-input-schema projection plan.
-    union: CachedProjection,
-    /// Last epoch in which a member of this group matched.
-    epoch: u64,
-}
-
-/// A projection class: all local-delivery members of one stream partition
-/// that request the **same** retained-attribute set (or `All`). The
-/// projection is computed once per message per class; every matched member
-/// of the class receives the same `Arc`-shared record — the per-match cost
-/// drops from clone+project to a refcount bump.
-#[derive(Debug)]
-struct ProjClass {
-    proj: CachedProjection,
-    /// Epoch in which `cached` was produced.
-    epoch: u64,
-    /// The projected record for the current epoch's message.
-    cached: Option<Message>,
+    /// Union of `Subscription::needs` over live members.
+    union: StreamProjection,
 }
 
 /// What a matched member does: local delivery (share its projection
 /// class's record) or marking its hop group.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum MemberAction {
     Local { sub: SubId, class: u32 },
     Hop(u32),
 }
 
+/// The `target` of a tombstoned member. A member's counter never exceeds
+/// its threshold-list references, which never exceed its live target, so
+/// no message can bring a dead member to `u32::MAX`: the kernel excludes
+/// it without a flag check.
+const DEAD: u32 = u32::MAX;
+
 /// One `(entry, stream)` pair in a stream partition.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Member {
     /// Slot of the owning entry in `RoutingTable::entries`.
     entry: u32,
@@ -235,15 +226,19 @@ struct Member {
     /// ordering candidates never chases the entry indirection on the
     /// match hot path.
     seq: u64,
-    /// Number of indexable predicates that must be satisfied.
+    /// Number of indexable predicates that must be satisfied ([`DEAD`]
+    /// once tombstoned).
     target: u32,
     /// Predicates evaluated only when the indexable prefix passed.
     residual: Vec<CompiledPredicate>,
-    /// Satisfied-predicate counter, valid when `epoch` is current.
-    count: u32,
-    epoch: u64,
-    dead: bool,
     action: MemberAction,
+}
+
+/// A member's satisfied-predicate counter, valid only in `epoch`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counter {
+    epoch: u64,
+    count: u32,
 }
 
 /// Sorted `(threshold, member)` lists for one attribute, one per operator
@@ -253,7 +248,7 @@ struct Member {
 /// an install memmoves at most one run no matter how large the partition
 /// grows, while the satisfied-range walks below iterate runs in key
 /// order and stay bit-identical to the dense layout they replaced.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct OpLists {
     lt: TieredList,
     le: TieredList,
@@ -292,65 +287,53 @@ impl OpLists {
     /// without waiting for the whole-table rebuild.
     fn sweep_dead(&mut self, members: &[Member]) {
         for list in [&mut self.lt, &mut self.le, &mut self.gt, &mut self.ge, &mut self.eq] {
-            list.retain_vals(|m| !members[m as usize].dead);
+            list.retain_vals(|m| members[m as usize].target != DEAD);
         }
     }
 
     /// Bumps the counter of every member whose predicate is satisfied by
     /// attribute value `v` (non-NaN): descend the run directory to the
     /// satisfied range, then walk only that range's runs in key order.
-    fn bump_satisfied(&self, v: f64, members: &mut [Member], touched: &mut Vec<u32>, epoch: u64) {
-        // `attr > t` holds for thresholds t < v: an ascending prefix.
-        self.gt.for_prefix(|t| t < v, |run| bump(run, members, touched, epoch));
-        // `attr >= t` holds for t <= v.
-        self.ge.for_prefix(|t| t <= v, |run| bump(run, members, touched, epoch));
-        // `attr < t` holds for t > v: an ascending suffix.
-        self.lt.for_suffix(|t| t > v, |run| bump(run, members, touched, epoch));
-        // `attr <= t` holds for t >= v.
-        self.le.for_suffix(|t| t >= v, |run| bump(run, members, touched, epoch));
-        // `attr = t` holds for the equal range.
-        self.eq.for_eq(|t| t < v, |t| t <= v, |run| bump(run, members, touched, epoch));
-    }
-
-    /// [`OpLists::bump_satisfied`] with a caller-held cursor over the
-    /// equality list's run directory (see [`TieredList::for_eq_hinted`]):
-    /// the batched matcher probes messages in value order, so each eq
-    /// descent becomes an amortized linear advance. The inequality lists
-    /// walk whole satisfied ranges anyway — their boundary descents are
-    /// already a negligible share of the visit — so only `eq` is hinted.
-    fn bump_satisfied_hinted(
+    /// With an `eq_cursor`, the equality list is located by a
+    /// caller-held directory cursor instead (see
+    /// [`TieredList::for_eq_hinted`]): a batch probed in value order
+    /// turns each eq descent into an amortized linear advance. The
+    /// inequality lists walk whole satisfied ranges anyway — their
+    /// boundary descents are a negligible share of the visit — so only
+    /// `eq` is hinted.
+    fn bump_satisfied(
         &self,
         v: f64,
-        members: &mut [Member],
+        counters: &mut [Counter],
         touched: &mut Vec<u32>,
         epoch: u64,
-        eq_cursor: &mut usize,
+        eq_cursor: Option<&mut usize>,
     ) {
-        self.gt.for_prefix(|t| t < v, |run| bump(run, members, touched, epoch));
-        self.ge.for_prefix(|t| t <= v, |run| bump(run, members, touched, epoch));
-        self.lt.for_suffix(|t| t > v, |run| bump(run, members, touched, epoch));
-        self.le.for_suffix(|t| t >= v, |run| bump(run, members, touched, epoch));
-        self.eq.for_eq_hinted(
-            eq_cursor,
-            |t| t < v,
-            |t| t <= v,
-            |run| bump(run, members, touched, epoch),
-        );
+        // `attr > t` holds for thresholds t < v: an ascending prefix.
+        self.gt.for_prefix(|t| t < v, |run| bump(run, counters, touched, epoch));
+        // `attr >= t` holds for t <= v.
+        self.ge.for_prefix(|t| t <= v, |run| bump(run, counters, touched, epoch));
+        // `attr < t` holds for t > v: an ascending suffix.
+        self.lt.for_suffix(|t| t > v, |run| bump(run, counters, touched, epoch));
+        // `attr <= t` holds for t >= v.
+        self.le.for_suffix(|t| t >= v, |run| bump(run, counters, touched, epoch));
+        // `attr = t` holds for the equal range.
+        let (lt, le) = (|t: f64| t < v, |t: f64| t <= v);
+        match eq_cursor {
+            Some(c) => self.eq.for_eq_hinted(c, lt, le, |run| bump(run, counters, touched, epoch)),
+            None => self.eq.for_eq(lt, le, |run| bump(run, counters, touched, epoch)),
+        }
     }
 }
 
 /// Increments the epoch-versioned counters of `satisfied` members.
-fn bump(satisfied: &[(f64, u32)], members: &mut [Member], touched: &mut Vec<u32>, epoch: u64) {
+fn bump(satisfied: &[(f64, u32)], counters: &mut [Counter], touched: &mut Vec<u32>, epoch: u64) {
     for &(_, m) in satisfied {
-        let member = &mut members[m as usize];
-        if member.dead {
-            continue;
-        }
-        if member.epoch == epoch {
-            member.count += 1;
+        let c = &mut counters[m as usize];
+        if c.epoch == epoch {
+            c.count += 1;
         } else {
-            member.epoch = epoch;
-            member.count = 1;
+            *c = Counter { epoch, count: 1 };
             touched.push(m);
         }
     }
@@ -798,9 +781,12 @@ impl ForwardedSet {
     }
 }
 
-/// The index over one stream's entries at one node.
-#[derive(Debug, Default)]
-struct StreamIndex {
+/// One stream's match state at one node. Matching reads it through
+/// `&self` ([`Partition::match_batch`]); all per-message state lives in
+/// the matcher's [`MatchScratch`], so a snapshot shares a node's
+/// partitions with the writing table by `Arc`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Partition {
     members: Vec<Member>,
     /// Member slot per owning entry id (each entry contributes at most
     /// one member per partition) — makes tombstoning independent of
@@ -810,55 +796,233 @@ struct StreamIndex {
     /// lists; once these dominate the partition the lists are swept
     /// run-by-run without rebuilding the table.
     dead_members: usize,
-    /// Threshold lists per stored attribute.
-    attr_lists: HashMap<Symbol, OpLists>,
+    /// Threshold lists per stored attribute, in first-install order (a
+    /// stream carries a handful of attributes, so a scan beats a map).
+    attr_lists: Vec<(Symbol, OpLists)>,
     /// Threshold lists over the event-time pseudo-attribute.
     ts_lists: OpLists,
     /// Members with no indexable predicates (always candidates).
     zero_target: Vec<u32>,
     hops: Vec<HopGroup>,
-    /// Local-delivery projection classes (deduplicated projections).
-    classes: Vec<ProjClass>,
+    /// Local-delivery projection classes: the distinct retained-attribute
+    /// sets (or `All`) of the local members. A class is projected once per
+    /// message and every matched member of the class shares the record.
+    classes: Vec<StreamProjection>,
+    /// Bumped by every change, so a [`MatchScratch`] knows when to refit
+    /// its counters and plan caches (0 = never built).
+    stamp: u64,
+}
+
+/// The partitions of one node, keyed by stream.
+pub(crate) type Partitions = HashMap<Symbol, Partition>;
+
+/// A projection plan cache plus, for a projection class, the record it
+/// produced for the message of `epoch` (hop groups leave it empty).
+#[derive(Debug)]
+struct Projector {
+    plan: CachedProjection,
     epoch: u64,
-    /// Scratch: members bumped this epoch.
-    touched: Vec<u32>,
-    /// Scratch: fully-satisfied `(seq, member)` pairs, sorted to
-    /// subscribe order — flat keys, so the sort never chases pointers.
-    candidates: Vec<(u64, u32)>,
-    /// Scratch: hop groups marked by the current message (batched
-    /// matching emits forwards from this list instead of rescanning
-    /// every group per message).
-    touched_hops: Vec<u32>,
+    record: Option<Message>,
 }
 
-/// The outcome of matching one message at one node. Designed for reuse:
-/// the broker keeps a small pool of these and passes them back into
-/// [`RoutingTable::match_message_into`], so the per-message vectors are
-/// allocated once and recycled.
+/// Everything a match writes, kept apart from the [`Partition`] it
+/// matches: the routing table owns one per partition for its own
+/// publishing, each snapshot reader one per partition it visits.
 #[derive(Debug, Default)]
-pub struct MatchOutput {
-    /// Local deliveries: `(subscription, projected message)` in
-    /// installation-sequence order.
-    pub deliveries: Vec<(SubId, Message)>,
-    /// Forwards: `(next hop, projected message)` sorted by node id.
-    pub forwards: Vec<(NodeId, Message)>,
+pub(crate) struct MatchScratch {
+    /// The partition stamp the counters and plan caches fit.
+    stamp: u64,
+    epoch: u64,
+    /// Per member slot. Epoch-versioned, so refitting only resizes.
+    counters: Vec<Counter>,
+    /// Members bumped this epoch.
+    touched: Vec<u32>,
+    /// Fully-satisfied `(seq, member)` pairs, sorted to subscribe order —
+    /// flat keys, so the sort never chases pointers.
+    candidates: Vec<(u64, u32)>,
+    /// Hop groups marked by the current message.
+    touched_hops: Vec<u32>,
+    /// Per projection class.
+    classes: Vec<Projector>,
+    /// Per hop group.
+    hops: Vec<Projector>,
+    /// `(value index, attr_lists index)` per indexed attribute of the
+    /// schema `resolved_schema`, so a stream's messages resolve their
+    /// threshold lists once per schema rather than once per message.
+    resolved: Vec<(usize, usize)>,
+    resolved_schema: Option<u32>,
 }
 
-impl MatchOutput {
-    /// Empties both buffers, keeping their capacity.
-    pub fn clear(&mut self) {
-        self.deliveries.clear();
-        self.forwards.clear();
+impl MatchScratch {
+    /// Fits the scratch to `part` after a change: counters grow or shrink
+    /// with the member slots (stale epochs make old values inert), plan
+    /// caches whose projection changed are rebuilt, and the schema
+    /// resolution is dropped.
+    fn refit(&mut self, part: &Partition) {
+        if self.stamp == part.stamp {
+            return;
+        }
+        self.stamp = part.stamp;
+        self.counters.resize(part.members.len(), Counter::default());
+        refit_projectors(&mut self.classes, part.classes.iter());
+        refit_projectors(&mut self.hops, part.hops.iter().map(|h| &h.union));
+        self.resolved_schema = None;
     }
 }
 
-/// The outcome of matching one batched message at one node. Unlike
-/// [`MatchOutput`], an identity forward (a hop whose union projection
-/// keeps the whole record) carries `None` instead of a clone of the
-/// message — the caller shares the original it already holds, so the
-/// batched plane never pays a per-hop record clone for pass-through
-/// forwarding. Reconstituting `Some(msg.clone())` for every `None` yields
-/// exactly [`RoutingTable::match_message_into`]'s output.
+/// Keeps each projector whose projection is unchanged and rebuilds the
+/// rest, leaving exactly one per projection.
+fn refit_projectors<'a>(
+    projectors: &mut Vec<Projector>,
+    projections: impl Iterator<Item = &'a StreamProjection>,
+) {
+    let mut n = 0;
+    for (i, proj) in projections.enumerate() {
+        n = i + 1;
+        let fresh =
+            || Projector { plan: CachedProjection::new(proj.clone()), epoch: 0, record: None };
+        match projectors.get_mut(i) {
+            Some(p) if p.plan.projection() == proj => {}
+            Some(p) => *p = fresh(),
+            None => projectors.push(fresh()),
+        }
+    }
+    projectors.truncate(n);
+}
+
+impl Partition {
+    /// The matching kernel. Matches a batch of **same-stream** messages —
+    /// `(tag, index into records)` pairs — through one walk of this
+    /// partition: one counter-epoch range for the whole batch, threshold
+    /// lists resolved once per schema. Per message: a counting pass over
+    /// the satisfied threshold ranges, residual evaluation for
+    /// fully-counted candidates in `(seq, slot)` order, one projection
+    /// per matched class, and one forward per marked hop group (except
+    /// toward `from`). Each message's results are handed to
+    /// `sink(tag, record, out)` in batch order, with `out` cleared before
+    /// each message.
+    pub(crate) fn match_batch<T: Copy>(
+        &self,
+        scratch: &mut MatchScratch,
+        records: &[Message],
+        batch: &[(T, u32)],
+        from: Option<NodeId>,
+        out: &mut BatchMatchOutput,
+        mut sink: impl FnMut(T, u32, &mut BatchMatchOutput),
+    ) {
+        scratch.refit(self);
+        let base = scratch.epoch;
+        scratch.epoch += batch.len() as u64;
+        let MatchScratch {
+            counters,
+            touched,
+            candidates,
+            touched_hops,
+            classes,
+            hops,
+            resolved,
+            resolved_schema,
+            ..
+        } = scratch;
+        // Directory cursor for the first resolved attribute's eq list:
+        // callers sort batches by that attribute, so successive probes
+        // advance it monotonically (any order stays correct, just
+        // without the amortization). A single message descends instead.
+        let mut eq_cursor = 0usize;
+        let hinted = batch.len() > 1;
+        for (j, &(tag, rec)) in batch.iter().enumerate() {
+            let msg = &records[rec as usize];
+            let epoch = base + j as u64 + 1;
+            touched.clear();
+            candidates.clear();
+            touched_hops.clear();
+            if !self.attr_lists.is_empty() {
+                let schema = msg.schema();
+                if *resolved_schema != Some(schema.id()) {
+                    *resolved_schema = Some(schema.id());
+                    resolved.clear();
+                    resolved.extend(schema.attrs().iter().enumerate().filter_map(|(i, attr)| {
+                        self.attr_lists.iter().position(|(a, _)| a == attr).map(|l| (i, l))
+                    }));
+                    eq_cursor = 0;
+                }
+                for (a, &(i, l)) in resolved.iter().enumerate() {
+                    let Some(v) =
+                        cosmos_query::compiled::ScalarRef::from(&msg.values()[i]).as_f64()
+                    else {
+                        continue; // string value: numeric comparisons are false
+                    };
+                    if v.is_nan() {
+                        continue;
+                    }
+                    let cursor = (hinted && a == 0).then_some(&mut eq_cursor);
+                    self.attr_lists[l].1.bump_satisfied(v, counters, touched, epoch, cursor);
+                }
+            }
+            if !self.ts_lists.is_empty() {
+                self.ts_lists.bump_satisfied(msg.timestamp as f64, counters, touched, epoch, None);
+            }
+            // Candidates: fully-counted members plus filter-free members,
+            // in installation-sequence order — the population's subscribe
+            // order, stable across incremental removal and
+            // re-installation (member slots are only partition insertion
+            // order, which repair churns).
+            candidates.extend(self.zero_target.iter().map(|&m| (self.members[m as usize].seq, m)));
+            candidates.extend(touched.iter().filter_map(|&m| {
+                let member = &self.members[m as usize];
+                (counters[m as usize].count == member.target).then_some((member.seq, m))
+            }));
+            candidates.sort_unstable();
+            out.clear();
+            for &(_, m) in candidates.iter() {
+                let member = &self.members[m as usize];
+                if !eval_compiled(&member.residual, msg) {
+                    continue;
+                }
+                match member.action {
+                    MemberAction::Local { sub, class } => {
+                        // Projection-class dedup: the first matched member
+                        // of a class computes the projection; the rest of
+                        // the class shares the record (a refcount bump per
+                        // delivery).
+                        let class = &mut classes[class as usize];
+                        if class.epoch != epoch {
+                            class.epoch = epoch;
+                            class.record = Some(class.plan.apply(msg));
+                        }
+                        let record = class.record.clone().expect("projected this epoch");
+                        out.deliveries.push((sub, record));
+                    }
+                    MemberAction::Hop(g) => {
+                        let hop = &mut hops[g as usize];
+                        if hop.epoch != epoch {
+                            hop.epoch = epoch;
+                            touched_hops.push(g);
+                        }
+                    }
+                }
+            }
+            // Forwards come from the groups this message marked (no
+            // per-message rescan of every group), sorted by node id.
+            for &g in touched_hops.iter() {
+                let to = self.hops[g as usize].to;
+                if Some(to) == from {
+                    continue;
+                }
+                let plan = &mut hops[g as usize].plan;
+                out.forwards.push((to, (!plan.is_identity()).then(|| plan.apply(msg))));
+            }
+            out.forwards.sort_by_key(|(n, _)| *n);
+            sink(tag, rec, out);
+        }
+    }
+}
+
+/// The outcome of matching one message at one node. An identity forward
+/// (a hop whose union projection keeps the whole record) carries `None`
+/// instead of a clone of the message — the caller shares the original it
+/// already holds, so pass-through forwarding never pays a per-hop record
+/// clone.
 #[derive(Debug, Default)]
 pub struct BatchMatchOutput {
     /// Local deliveries: `(subscription, projected message)` in
@@ -882,7 +1046,11 @@ impl BatchMatchOutput {
 #[derive(Debug, Default)]
 pub struct RoutingTable {
     entries: Vec<Entry>,
-    streams: HashMap<Symbol, StreamIndex>,
+    /// Shared with every snapshot taken since the last write; written
+    /// through [`Arc::make_mut`].
+    parts: Arc<Partitions>,
+    /// This table's own match scratch, per stream.
+    scratch: HashMap<Symbol, MatchScratch>,
     /// Covering buckets per `(stream, next hop)`, over the forwarding
     /// entries only (local-delivery entries never covering-merge): the
     /// sublinear candidate source behind [`RoutingTable::insert_covering`].
@@ -924,7 +1092,9 @@ impl RoutingTable {
     /// Drops all entries and index state.
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.streams.clear();
+        // A fresh map, not a cleared one: a snapshot may share the old.
+        self.parts = Arc::default();
+        self.scratch.clear();
         self.covers.clear();
         self.streamless.clear();
         self.by_sub.clear();
@@ -959,7 +1129,8 @@ impl RoutingTable {
             self.streamless.entry(next).or_default().push(entry_id);
         }
         for (&stream, req) in &sub.streams {
-            let index = self.streams.entry(stream).or_default();
+            let index = Arc::make_mut(&mut self.parts).entry(stream).or_default();
+            index.stamp += 1;
             let member_id = u32::try_from(index.members.len()).expect("partition overflow");
             let (indexable, residual) =
                 skel.get(stream).map(|(i, r)| (i, r.to_vec())).unwrap_or_default();
@@ -1006,7 +1177,15 @@ impl RoutingTable {
                     continue;
                 }
                 let lists = match cmp.operand {
-                    IndexOperand::Attr(attr) => index.attr_lists.entry(attr).or_default(),
+                    IndexOperand::Attr(attr) => {
+                        match index.attr_lists.iter().position(|(a, _)| *a == attr) {
+                            Some(l) => &mut index.attr_lists[l].1,
+                            None => {
+                                index.attr_lists.push((attr, OpLists::default()));
+                                &mut index.attr_lists.last_mut().expect("just pushed").1
+                            }
+                        }
+                    }
                     IndexOperand::Timestamp => &mut index.ts_lists,
                 };
                 lists.insert(cmp.op, cmp.threshold, member_id);
@@ -1018,18 +1197,10 @@ impl RoutingTable {
                     // retained-attribute set — the class's plan cache and
                     // per-message projected record are shared by every
                     // member requesting the same attributes.
-                    let c = match index
-                        .classes
-                        .iter()
-                        .position(|c| c.proj.projection() == &req.projection)
-                    {
+                    let c = match index.classes.iter().position(|c| c == &req.projection) {
                         Some(c) => c,
                         None => {
-                            index.classes.push(ProjClass {
-                                proj: CachedProjection::new(req.projection.clone()),
-                                epoch: 0,
-                                cached: None,
-                            });
+                            index.classes.push(req.projection.clone());
                             index.classes.len() - 1
                         }
                     };
@@ -1042,18 +1213,11 @@ impl RoutingTable {
                     let g = match index.hops.iter().position(|h| h.to == next) {
                         Some(g) => {
                             let group = &mut index.hops[g];
-                            let union = group.union.projection().union(&needs);
-                            if &union != group.union.projection() {
-                                group.union = CachedProjection::new(union);
-                            }
+                            group.union = group.union.union(&needs);
                             g
                         }
                         None => {
-                            index.hops.push(HopGroup {
-                                to: next,
-                                union: CachedProjection::new(needs.clone()),
-                                epoch: 0,
-                            });
+                            index.hops.push(HopGroup { to: next, union: needs });
                             index.hops.len() - 1
                         }
                     };
@@ -1064,16 +1228,7 @@ impl RoutingTable {
                 index.zero_target.push(member_id);
             }
             index.member_of.insert(entry_id, member_id);
-            index.members.push(Member {
-                entry: entry_id,
-                seq,
-                target,
-                residual,
-                count: 0,
-                epoch: 0,
-                dead: false,
-                action,
-            });
+            index.members.push(Member { entry: entry_id, seq, target, residual, action });
         }
         self.by_sub.entry(sub.id).or_default().push(entry_id);
         self.entries.push(Entry { sub, to, seq, dead: false });
@@ -1114,8 +1269,8 @@ impl RoutingTable {
     /// as covering dependencies so the victims are re-propagated if the
     /// coverer ever leaves. Hop-group unions are recomputed from the
     /// surviving members; threshold lists keep stale references that the
-    /// dead flag neutralizes, and the table compacts once tombstones
-    /// outnumber live entries.
+    /// dead members' targets neutralize, and the table compacts once
+    /// tombstones outnumber live entries.
     pub fn remove_toward(
         &mut self,
         downstream: NodeId,
@@ -1289,14 +1444,16 @@ impl RoutingTable {
                 self.by_sub.remove(&id);
             }
         }
+        let parts = Arc::make_mut(&mut self.parts);
         for stream in streams {
-            let Some(index) = self.streams.get_mut(&stream) else { continue };
+            let Some(index) = parts.get_mut(&stream) else { continue };
             let Some(m) = index.member_of.remove(&entry_id) else { continue };
             let m = m as usize;
-            if index.members[m].dead {
+            if index.members[m].target == DEAD {
                 continue;
             }
-            index.members[m].dead = true;
+            index.stamp += 1;
+            index.members[m].target = DEAD;
             index.dead_members += 1;
             index.zero_target.retain(|&z| z != m as u32);
             if let MemberAction::Hop(g) = index.members[m].action {
@@ -1304,7 +1461,9 @@ impl RoutingTable {
                 // (a union cannot be shrunk incrementally).
                 let mut union: Option<StreamProjection> = None;
                 for member in &index.members {
-                    if member.dead || !matches!(member.action, MemberAction::Hop(h) if h == g) {
+                    if member.target == DEAD
+                        || !matches!(member.action, MemberAction::Hop(h) if h == g)
+                    {
                         continue;
                     }
                     let needs = self.entries[member.entry as usize]
@@ -1322,9 +1481,8 @@ impl RoutingTable {
                 // A fully-emptied group keeps an empty union; it can never
                 // be marked matched again (no member bumps it), and
                 // compaction eventually drops it.
-                index.hops[g as usize].union = CachedProjection::new(
-                    union.unwrap_or(StreamProjection::Attrs(Default::default())),
-                );
+                index.hops[g as usize].union =
+                    union.unwrap_or(StreamProjection::Attrs(Default::default()));
             }
             // Per-run sweep: once tombstones dominate the partition, drop
             // the dead members' list slots run-by-run — no table rebuild,
@@ -1332,8 +1490,8 @@ impl RoutingTable {
             // until the whole table compacts.
             if tombstones_dominate(index.dead_members, index.members.len()) {
                 index.dead_members = 0;
-                let StreamIndex { members, attr_lists, ts_lists, .. } = index;
-                for lists in attr_lists.values_mut() {
+                let Partition { members, attr_lists, ts_lists, .. } = index;
+                for (_, lists) in attr_lists.iter_mut() {
                     lists.sweep_dead(members);
                 }
                 ts_lists.sweep_dead(members);
@@ -1358,334 +1516,41 @@ impl RoutingTable {
         }
     }
 
-    /// [`RoutingTable::match_message_into`] into a fresh buffer —
-    /// convenience for tests and one-shot callers.
-    pub fn match_message(&mut self, msg: &Message, from: Option<NodeId>) -> MatchOutput {
-        let mut out = MatchOutput::default();
-        self.match_message_into(msg, from, &mut out);
-        out
-    }
-
     /// The value-row position of the first schema attribute carrying
     /// threshold lists in `stream`'s partition, if any. The batched
     /// publish plane sorts each batch by this attribute's value so the
     /// eq-list cursor walk ([`TieredList::for_eq_hinted`]) advances
     /// monotonically through the run directory.
     pub fn first_indexed_attr(&self, stream: Symbol, attrs: &[Symbol]) -> Option<usize> {
-        let index = self.streams.get(&stream)?;
-        attrs.iter().position(|a| index.attr_lists.contains_key(a))
+        let index = self.parts.get(&stream)?;
+        attrs.iter().position(|a| index.attr_lists.iter().any(|(l, _)| l == a))
     }
 
-    /// Matches `msg` against this table: counting pass over the message's
-    /// attributes, residual evaluation for fully-counted candidates, local
-    /// projections and per-hop union projections applied from their cached
-    /// plans. `from` suppresses the reverse hop. Results are written into
-    /// `out` (cleared first); reusing one `MatchOutput` across calls keeps
-    /// the broker's forwarding path allocation-free after warm-up.
-    pub fn match_message_into(
+    /// Matches one message at this table — a batch of one through
+    /// [`Partition::match_batch`] — into `out`; identity forwards stay
+    /// `None`. `from` suppresses the reverse hop.
+    pub(crate) fn match_one(
         &mut self,
         msg: &Message,
         from: Option<NodeId>,
-        out: &mut MatchOutput,
+        out: &mut BatchMatchOutput,
     ) {
         out.clear();
-        let Some(index) = self.streams.get_mut(&msg.stream) else {
-            return;
-        };
-        index.epoch += 1;
-        let epoch = index.epoch;
-        let StreamIndex {
-            members,
-            attr_lists,
-            ts_lists,
-            zero_target,
-            hops,
-            classes,
-            touched,
-            candidates,
-            ..
-        } = index;
-        touched.clear();
-        candidates.clear();
-
-        // Counting pass: resolve each message attribute once, walk the
-        // satisfied threshold ranges.
-        if !attr_lists.is_empty() {
-            for (i, &attr) in msg.schema().attrs().iter().enumerate() {
-                let Some(lists) = attr_lists.get(&attr) else { continue };
-                let Some(v) = cosmos_query::compiled::ScalarRef::from(&msg.values()[i]).as_f64()
-                else {
-                    continue; // string value: numeric comparisons are false
-                };
-                if v.is_nan() {
-                    continue;
-                }
-                lists.bump_satisfied(v, members, touched, epoch);
-            }
-        }
-        if !ts_lists.is_empty() {
-            ts_lists.bump_satisfied(msg.timestamp as f64, members, touched, epoch);
-        }
-
-        // Candidates: fully-counted members plus filter-free members, in
-        // installation-sequence order — the population's subscribe order,
-        // stable across incremental removal and re-installation (member
-        // ids are only partition insertion order, which repair churns).
-        // The seq rides along in the scratch pairs, so the sort compares
-        // flat keys without chasing member or entry indirections.
-        candidates.extend(zero_target.iter().map(|&m| (members[m as usize].seq, m)));
-        candidates.extend(touched.iter().filter_map(|&m| {
-            let member = &members[m as usize];
-            (member.count == member.target).then_some((member.seq, m))
-        }));
-        candidates.sort_unstable();
-
-        for &(_, m) in candidates.iter() {
-            let member = &mut members[m as usize];
-            if member.dead || !eval_compiled(&member.residual, msg) {
-                continue;
-            }
-            match &member.action {
-                MemberAction::Local { sub, class } => {
-                    // Projection-class dedup: the first matched member of a
-                    // class computes the projection; the rest of the class
-                    // shares the record (a refcount bump per delivery).
-                    let class = &mut classes[*class as usize];
-                    if class.epoch != epoch {
-                        class.epoch = epoch;
-                        class.cached = Some(class.proj.apply(msg));
-                    }
-                    let record = class.cached.clone().expect("projected this epoch");
-                    out.deliveries.push((*sub, record));
-                }
-                MemberAction::Hop(g) => hops[*g as usize].epoch = epoch,
-            }
-        }
-        for group in hops.iter_mut() {
-            if group.epoch != epoch || Some(group.to) == from {
-                continue;
-            }
-            out.forwards.push((group.to, group.union.apply(msg)));
-        }
-        out.forwards.sort_by_key(|(n, _)| *n);
-    }
-
-    /// Matches a batch of **same-stream** messages through one index
-    /// walk: the stream partition is resolved once, one counter-epoch
-    /// range is allocated for the whole batch, and the per-attribute
-    /// threshold lists are re-resolved only when the schema pointer
-    /// changes between consecutive messages. Each message's results are
-    /// handed to `sink(tag, out)` in batch order, with `out` recycled
-    /// between messages — after reconstituting each identity forward
-    /// (`None`) as a clone of its message, contents are bit-identical to
-    /// a serial [`RoutingTable::match_message_into`] call per message.
-    pub fn match_batch_into<M, F>(
-        &mut self,
-        msgs: &[(u32, M)],
-        from: Option<NodeId>,
-        out: &mut BatchMatchOutput,
-        mut sink: F,
-    ) where
-        M: std::borrow::Borrow<Message>,
-        F: FnMut(u32, &mut BatchMatchOutput),
-    {
-        let Some((_, first)) = msgs.first() else { return };
-        let first = first.borrow();
-        debug_assert!(msgs.iter().all(|(_, m)| m.borrow().stream == first.stream));
-        let Some(index) = self.streams.get_mut(&first.stream) else {
-            for (tag, _) in msgs {
-                out.clear();
-                sink(*tag, out);
-            }
-            return;
-        };
-        let base = index.epoch;
-        index.epoch += msgs.len() as u64;
-        let StreamIndex {
-            members,
-            attr_lists,
-            ts_lists,
-            zero_target,
-            hops,
-            classes,
-            touched,
-            candidates,
-            touched_hops,
-            ..
-        } = index;
-        let attr_lists: &HashMap<Symbol, OpLists> = attr_lists;
-        let any_attr_lists = !attr_lists.is_empty();
-        let any_ts_lists = !ts_lists.is_empty();
-        // Schema-resolution cache: `(value index, lists)` pairs for the
-        // last seen schema, keyed by attribute-slice identity — batches
-        // from one source share a schema, so the HashMap probes happen
-        // once per batch instead of once per message.
-        let mut resolved: Vec<(usize, &OpLists)> = Vec::new();
-        let mut resolved_schema: *const Symbol = std::ptr::null();
-        // Directory cursor for the first resolved attribute's eq list:
-        // callers sort batches by that attribute, so successive probes
-        // advance it monotonically (any order stays correct, just
-        // without the amortization).
-        let mut eq_cursor = 0usize;
-        for (j, (tag, msg)) in msgs.iter().enumerate() {
-            let msg = msg.borrow();
-            let epoch = base + j as u64 + 1;
-            touched.clear();
-            candidates.clear();
-            touched_hops.clear();
-            if any_attr_lists {
-                let attrs = msg.schema().attrs();
-                if attrs.as_ptr() != resolved_schema {
-                    resolved_schema = attrs.as_ptr();
-                    resolved.clear();
-                    resolved.extend(
-                        attrs
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(i, attr)| attr_lists.get(attr).map(|l| (i, l))),
-                    );
-                    eq_cursor = 0;
-                }
-                for (a, &(i, lists)) in resolved.iter().enumerate() {
-                    let Some(v) =
-                        cosmos_query::compiled::ScalarRef::from(&msg.values()[i]).as_f64()
-                    else {
-                        continue; // string value: numeric comparisons are false
-                    };
-                    if v.is_nan() {
-                        continue;
-                    }
-                    if a == 0 {
-                        lists.bump_satisfied_hinted(v, members, touched, epoch, &mut eq_cursor);
-                    } else {
-                        lists.bump_satisfied(v, members, touched, epoch);
-                    }
-                }
-            }
-            if any_ts_lists {
-                ts_lists.bump_satisfied(msg.timestamp as f64, members, touched, epoch);
-            }
-            candidates.extend(zero_target.iter().map(|&m| (members[m as usize].seq, m)));
-            candidates.extend(touched.iter().filter_map(|&m| {
-                let member = &members[m as usize];
-                (member.count == member.target).then_some((member.seq, m))
-            }));
-            candidates.sort_unstable();
-            out.clear();
-            for &(_, m) in candidates.iter() {
-                let member = &mut members[m as usize];
-                if member.dead || !eval_compiled(&member.residual, msg) {
-                    continue;
-                }
-                match &member.action {
-                    MemberAction::Local { sub, class } => {
-                        let class = &mut classes[*class as usize];
-                        if class.epoch != epoch {
-                            class.epoch = epoch;
-                            class.cached = Some(class.proj.apply(msg));
-                        }
-                        let record = class.cached.clone().expect("projected this epoch");
-                        out.deliveries.push((*sub, record));
-                    }
-                    MemberAction::Hop(g) => {
-                        let group = &mut hops[*g as usize];
-                        if group.epoch != epoch {
-                            group.epoch = epoch;
-                            touched_hops.push(*g);
-                        }
-                    }
-                }
-            }
-            // Forwards come from the groups this message marked (no
-            // per-message rescan of every group); sorting by node id
-            // restores the serial emission order.
-            for &g in touched_hops.iter() {
-                let group = &mut hops[g as usize];
-                if Some(group.to) == from {
-                    continue;
-                }
-                let fwd = (!group.union.is_identity()).then(|| group.union.apply(msg));
-                out.forwards.push((group.to, fwd));
-            }
-            out.forwards.sort_by_key(|(n, _)| *n);
-            sink(*tag, out);
+        if let Some((part, scratch)) = self.partition(msg.stream) {
+            let msgs = std::slice::from_ref(msg);
+            part.match_batch(scratch, msgs, &[((), 0)], from, out, |_, _, _| {});
         }
     }
 
-    /// Freezes this table into its immutable, `Sync` matching twin (see
-    /// the module docs' concurrency section and [`crate::snapshot`]).
-    ///
-    /// Tombstones are dropped and member slots densely remapped **in
-    /// original partition order**, so frozen candidate `(seq, slot)`
-    /// pairs sort exactly as the live table's — equal-`seq` ties (one
-    /// subscription, several entries) break identically and the frozen
-    /// matcher's delivery order is bit-for-bit the serial matcher's.
-    /// Hop-group and projection-class indices are preserved (both vectors
-    /// only shrink at compaction, which rebuilds the table first), so
-    /// member actions carry over untranslated.
-    pub(crate) fn freeze(&self) -> FrozenTable {
-        let mut streams = HashMap::new();
-        for (&stream, index) in &self.streams {
-            let mut remap: Vec<Option<u32>> = vec![None; index.members.len()];
-            let mut members = Vec::new();
-            for (i, m) in index.members.iter().enumerate() {
-                if m.dead {
-                    continue;
-                }
-                remap[i] = Some(u32::try_from(members.len()).expect("partition overflow"));
-                members.push(FrozenMember {
-                    seq: m.seq,
-                    target: m.target,
-                    residual: m.residual.clone(),
-                    action: match &m.action {
-                        MemberAction::Local { sub, class } => {
-                            FrozenAction::Local { sub: *sub, class: *class }
-                        }
-                        MemberAction::Hop(g) => FrozenAction::Hop(*g),
-                    },
-                });
-            }
-            if members.is_empty() {
-                continue; // a fully-tombstoned partition matches nothing
-            }
-            let remap_list = |list: &TieredList| -> Vec<(f64, u32)> {
-                list.iter().filter_map(|(t, m)| remap[m as usize].map(|n| (t, n))).collect()
-            };
-            let freeze_lists = |l: &OpLists| FrozenLists {
-                lt: remap_list(&l.lt),
-                le: remap_list(&l.le),
-                gt: remap_list(&l.gt),
-                ge: remap_list(&l.ge),
-                eq: remap_list(&l.eq),
-            };
-            let mut attr_lists = HashMap::new();
-            for (&attr, lists) in &index.attr_lists {
-                let frozen = freeze_lists(lists);
-                if !frozen.is_empty() {
-                    attr_lists.insert(attr, frozen);
-                }
-            }
-            streams.insert(
-                stream,
-                FrozenPartition {
-                    members,
-                    attr_lists,
-                    ts_lists: freeze_lists(&index.ts_lists),
-                    zero_target: index
-                        .zero_target
-                        .iter()
-                        .filter_map(|&m| remap[m as usize])
-                        .collect(),
-                    hops: index
-                        .hops
-                        .iter()
-                        .map(|h| FrozenHop { to: h.to, union: h.union.projection().clone() })
-                        .collect(),
-                    classes: index.classes.iter().map(|c| c.proj.projection().clone()).collect(),
-                },
-            );
-        }
-        FrozenTable { streams }
+    /// The partition of `stream`, with this table's scratch for it.
+    pub(crate) fn partition(&mut self, stream: Symbol) -> Option<(&Partition, &mut MatchScratch)> {
+        let part = self.parts.get(&stream)?;
+        Some((part, self.scratch.entry(stream).or_default()))
+    }
+
+    /// This table's partitions, for a snapshot to share.
+    pub(crate) fn partitions(&self) -> &Arc<Partitions> {
+        &self.parts
     }
 }
 
@@ -1718,8 +1583,28 @@ mod tests {
             .build()
     }
 
+    /// One message matched through the kernel, identity forwards
+    /// reconstituted as clones of the message.
+    struct Matched {
+        deliveries: Vec<(SubId, Message)>,
+        forwards: Vec<(NodeId, Message)>,
+    }
+
+    fn match_message(table: &mut RoutingTable, msg: &Message, from: Option<NodeId>) -> Matched {
+        let mut out = BatchMatchOutput::default();
+        table.match_one(msg, from, &mut out);
+        let forwards =
+            out.forwards.into_iter().map(|(n, f)| (n, f.unwrap_or_else(|| msg.clone()))).collect();
+        Matched { deliveries: out.deliveries, forwards }
+    }
+
+    fn gt_len(table: &RoutingTable, stream: Symbol, attr: Symbol) -> usize {
+        let part = &table.parts[&stream];
+        part.attr_lists.iter().find(|(a, _)| *a == attr).map_or(0, |(_, l)| l.gt.len())
+    }
+
     fn local_matches(table: &mut RoutingTable, msg: &Message) -> Vec<SubId> {
-        table.match_message(msg, None).deliveries.into_iter().map(|(s, _)| s).collect()
+        match_message(table, msg, None).deliveries.into_iter().map(|(s, _)| s).collect()
     }
 
     /// Pads the partition with entries whose thresholds can never match
@@ -1849,7 +1734,8 @@ mod tests {
         assert_eq!(table.len(), 20, "every even entry removed");
         // Compaction triggered (tombstones > live): entries list is dense.
         assert_eq!(table.entries.len(), 20);
-        let out = table.match_message(&Message::new("R", 0).with("a", Scalar::Int(100)), None);
+        let out =
+            match_message(&mut table, &Message::new("R", 0).with("a", Scalar::Int(100)), None);
         assert_eq!(out.forwards.len(), 1, "one hop group toward node 1");
     }
 
@@ -1870,10 +1756,10 @@ mod tests {
             .with("a", Scalar::Int(1))
             .with("b", Scalar::Int(2))
             .with("c", Scalar::Int(3));
-        let out = table.match_message(&msg, None);
+        let out = match_message(&mut table, &msg, None);
         assert_eq!(out.forwards[0].1.len(), 2, "union {{a,b}} before removal");
         table.remove_toward(NodeId(1), |s| s.id == SubId(2));
-        let out = table.match_message(&msg, None);
+        let out = match_message(&mut table, &msg, None);
         assert_eq!(out.forwards[0].1.len(), 1, "union shrinks to {{a}}");
     }
 
@@ -1901,7 +1787,7 @@ mod tests {
         }
         let stream: Symbol = "R".into();
         let attr: Symbol = "a".into();
-        assert_eq!(table.streams[&stream].attr_lists[&attr].gt.len(), 40);
+        assert_eq!(gt_len(&table, stream, attr), 40);
         // Tombstone one at a time: the dead flags keep the stale threshold
         // references inert, and once tombstones reach half the table (at
         // the 20th removal) compaction rebuilds the lists dense. The last
@@ -1912,7 +1798,7 @@ mod tests {
         assert_eq!(table.len(), 16);
         assert_eq!(table.entries.len(), 20, "compacted at tombstone majority; 4 tombstones since");
         assert_eq!(
-            table.streams[&stream].attr_lists[&attr].gt.len(),
+            gt_len(&table, stream, attr),
             20,
             "threshold list rebuilt dense at compaction (was 40)"
         );
@@ -1937,15 +1823,15 @@ mod tests {
             .with("a", Scalar::Int(1))
             .with("b", Scalar::Int(2))
             .with("c", Scalar::Int(3));
-        assert_eq!(table.match_message(&msg, None).forwards[0].1.len(), 2);
+        assert_eq!(match_message(&mut table, &msg, None).forwards[0].1.len(), 2);
         // First-class removal of the wide member shrinks the union to {a};
         // only this hop group is recomputed.
         assert_eq!(table.remove_entry(SubId(2), Some(NodeId(1))), 1);
-        let out = table.match_message(&msg, None);
+        let out = match_message(&mut table, &msg, None);
         assert_eq!(out.forwards[0].1.len(), 1, "union shrinks to {{a}}");
         // Removing the last member silences the hop entirely.
         assert_eq!(table.remove_entry(SubId(1), Some(NodeId(1))), 1);
-        assert!(table.match_message(&msg, None).forwards.is_empty());
+        assert!(match_message(&mut table, &msg, None).forwards.is_empty());
     }
 
     #[test]
@@ -1962,25 +1848,25 @@ mod tests {
             table.ins(local(i, StreamProjection::attrs(["b"])), None);
         }
         let stream: Symbol = "R".into();
-        assert_eq!(table.streams[&stream].classes.len(), 2);
+        assert_eq!(table.parts[&stream].classes.len(), 2);
         // Empty the {b} class entirely, then shed enough {a} members that
         // tombstones reach half the table: compaction re-groups and the
         // emptied class is not reopened.
         for i in 40..58u64 {
             assert_eq!(table.remove_entry(SubId(i), None), 1);
         }
-        assert_eq!(table.streams[&stream].classes.len(), 2, "emptied class lingers as a tombstone");
+        assert_eq!(table.parts[&stream].classes.len(), 2, "emptied class lingers as a tombstone");
         for i in 0..11u64 {
             assert_eq!(table.remove_entry(SubId(i), None), 1);
         }
         assert_eq!(table.len(), 29);
         assert_eq!(
-            table.streams[&stream].classes.len(),
+            table.parts[&stream].classes.len(),
             1,
             "emptied projection class dropped at re-grouping"
         );
         let msg = Message::new("R", 0).with("a", Scalar::Int(7)).with("b", Scalar::Int(8));
-        let out = table.match_message(&msg, None);
+        let out = match_message(&mut table, &msg, None);
         assert_eq!(out.deliveries.len(), 29);
         assert!(out.deliveries.iter().all(|(_, m)| m.len() == 1), "survivors still get {{a}}");
         let ids: Vec<SubId> = out.deliveries.iter().map(|(s, _)| *s).collect();
@@ -1994,8 +1880,8 @@ mod tests {
         s.subscriber = NodeId(9);
         table.ins(s, Some(NodeId(3)));
         let msg = Message::new("R", 0);
-        assert_eq!(table.match_message(&msg, None).forwards.len(), 1);
-        assert!(table.match_message(&msg, Some(NodeId(3))).forwards.is_empty());
+        assert_eq!(match_message(&mut table, &msg, None).forwards.len(), 1);
+        assert!(match_message(&mut table, &msg, Some(NodeId(3))).forwards.is_empty());
     }
 
     /// The routing-covering form the broker confirms candidates with

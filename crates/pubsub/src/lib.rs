@@ -31,9 +31,10 @@
 //!   checkpoint, upstreams replay the unacked suffix, and the recovered
 //!   output log converges bit-for-bit to the crash-free run.
 //! - [`snapshot`]: the parallel data plane — immutable
-//!   [`RoutingSnapshot`]s frozen from the broker's routing state, matched
-//!   lock-free by any number of concurrent [`SnapshotReader`]s while
-//!   subscription churn stays single-writer (read-copy-update).
+//!   [`RoutingSnapshot`]s sharing the broker's routing partitions
+//!   (copy-on-write), matched lock-free by any number of concurrent
+//!   [`SnapshotReader`]s while subscription churn stays single-writer
+//!   (read-copy-update).
 //! - [`traffic`]: the rate-based cost model the large-scale experiments use:
 //!   each substream's delivery cost is its rate times the latency-weighted
 //!   multicast tree connecting its source to every interested processor,
@@ -69,7 +70,7 @@ pub mod traffic;
 pub use broker::{BrokerNetwork, Delivery, DeliveryLog, LinkStats};
 pub use fault::{FaultAction, FaultConfig, FaultPlan};
 pub use index::RoutingTable;
-pub use recovery::RecoveryNetwork;
+pub use recovery::{RecoveryError, RecoveryNetwork};
 pub use reliable::LossyNetwork;
 pub use snapshot::{merge_outputs, ReaderOutput, RoutingSnapshot, SnapshotReader};
 pub use subscription::{CachedProjection, Message, StreamProjection, SubId, Subscription};

@@ -117,16 +117,34 @@ pub struct RecoveryNetwork {
     interval: u64,
 }
 
+/// Why [`RecoveryNetwork::new`] rejected its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecoveryError {
+    /// A zero checkpoint interval: no checkpoint would ever be taken, so
+    /// upstream replay logs would never truncate.
+    ZeroCheckpointInterval,
+}
+
+impl std::fmt::Display for RecoveryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::ZeroCheckpointInterval => {
+                f.write_str("checkpoint interval must be positive (zero never truncates)")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RecoveryError {}
+
 impl RecoveryNetwork {
     /// Wraps `lossy`, checkpointing every hosted engine each `interval`
-    /// simulated ticks.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero interval.
-    pub fn new(lossy: LossyNetwork, interval: u64) -> Self {
-        assert!(interval > 0, "a zero checkpoint interval would truncate nothing ever gained");
-        Self { lossy, hosts: BTreeMap::new(), sched: EventQueue::new(), interval }
+    /// simulated ticks. Rejects a zero interval.
+    pub fn new(lossy: LossyNetwork, interval: u64) -> Result<Self, RecoveryError> {
+        if interval == 0 {
+            return Err(RecoveryError::ZeroCheckpointInterval);
+        }
+        Ok(Self { lossy, hosts: BTreeMap::new(), sched: EventQueue::new(), interval })
     }
 
     /// Hosts a [`StreamEngine`] running `queries` at broker `node`: an
@@ -542,7 +560,7 @@ mod tests {
     const JOIN: &str = "SELECT * FROM R [Range 60 Seconds], S [Now] WHERE R.k = S.k";
 
     fn rec(plan: FaultPlan, interval: u64) -> RecoveryNetwork {
-        let mut r = RecoveryNetwork::new(line_net(plan), interval);
+        let mut r = RecoveryNetwork::new(line_net(plan), interval).expect("positive interval");
         r.host_engine(NodeId(2), vec![(QueryId(1), parse_query(JOIN).unwrap())]);
         r
     }
@@ -702,8 +720,15 @@ mod tests {
     fn hosting_at_the_source_is_rejected_at_publish() {
         let mut lossy = line_net(FaultPlan::clean());
         lossy.network_mut().advertise("T", NodeId(2));
-        let mut r = RecoveryNetwork::new(lossy, 1_000);
+        let mut r = RecoveryNetwork::new(lossy, 1_000).expect("positive interval");
         r.host_engine(NodeId(2), vec![(QueryId(1), parse_query("SELECT * FROM T [Now]").unwrap())]);
         r.publish(Message::new("T", 0));
+    }
+
+    #[test]
+    fn zero_checkpoint_interval_is_rejected() {
+        let err = RecoveryNetwork::new(line_net(FaultPlan::clean()), 0).unwrap_err();
+        assert_eq!(err, RecoveryError::ZeroCheckpointInterval);
+        assert!(RecoveryNetwork::new(line_net(FaultPlan::clean()), 1).is_ok());
     }
 }

@@ -1,7 +1,7 @@
 //! Per-link reliable, exactly-once delivery over a lossy message plane.
 //!
 //! [`crate::broker::BrokerNetwork::publish`] assumes a perfect transport:
-//! `forward()` recursion *is* the network. [`LossyNetwork`] replaces that
+//! its forwarding walk *is* the network. [`LossyNetwork`] replaces that
 //! assumption with an adversarial one — every physical transmission rolls
 //! a seeded [`FaultPlan`](crate::fault::FaultPlan) that may drop,
 //! duplicate, or reorder it — and layers enough protocol on each directed
@@ -48,7 +48,7 @@
 
 use crate::broker::{BrokerNetwork, Delivery, LinkStats};
 use crate::fault::{FaultAction, FaultPlan};
-use crate::index::MatchOutput;
+use crate::index::BatchMatchOutput;
 use crate::subscription::Message;
 use cosmos_net::NodeId;
 use cosmos_util::EventQueue;
@@ -192,7 +192,7 @@ pub struct LossyNetwork {
     next_publish: u64,
     retransmissions: u64,
     acks_sent: u64,
-    scratch: MatchOutput,
+    scratch: BatchMatchOutput,
 }
 
 impl LossyNetwork {
@@ -210,7 +210,7 @@ impl LossyNetwork {
             next_publish: 0,
             retransmissions: 0,
             acks_sent: 0,
-            scratch: MatchOutput::default(),
+            scratch: BatchMatchOutput::default(),
         }
     }
 
@@ -357,7 +357,8 @@ impl LossyNetwork {
                 delivery: Delivery { sub, node, message },
             });
         }
-        let forwards: Vec<(NodeId, Message)> = out.forwards.drain(..).collect();
+        let forwards: Vec<(NodeId, Message)> =
+            out.forwards.drain(..).map(|(n, f)| (n, f.unwrap_or_else(|| msg.clone()))).collect();
         self.scratch = out;
         for (i, (next, fwd)) in forwards.into_iter().enumerate() {
             let mut child = path.clone();

@@ -199,7 +199,7 @@ fn run_trial(trial: u64, cfg: FaultConfig, act: &mut Activity) {
     net.advertise("S", src_s);
     let lossy = LossyNetwork::new(net, FaultPlan::new(rng.gen(), cfg));
     let interval = rng.gen_range(2_000u64..20_000);
-    let mut r = RecoveryNetwork::new(lossy, interval);
+    let mut r = RecoveryNetwork::new(lossy, interval).expect("positive interval");
     // Host engines at 1–2 non-source brokers.
     let candidates: Vec<NodeId> =
         (0..nodes).map(NodeId).filter(|&n| n != src_r && n != src_s).collect();

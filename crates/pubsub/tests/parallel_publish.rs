@@ -61,7 +61,7 @@ fn random_scalar(rng: &mut StdRng) -> Scalar {
 }
 
 /// A random filter: mostly indexable numeric comparisons, plus the
-/// residual classes the frozen matcher must handle identically.
+/// residual classes every matcher must handle identically.
 fn random_predicate(rng: &mut StdRng, stream: &str) -> Predicate {
     let roll = rng.gen_range(0u32..10);
     if roll < 7 {
@@ -346,6 +346,79 @@ fn snapshot_cached_until_churn() {
     reader.retarget(&s3);
     reader.take_output();
     assert_eq!(reader.publish(Message::new("R", 1).with("a", Scalar::Int(1))), 2);
+}
+
+/// A reader holding a snapshot shares its node partitions with the
+/// writer, so every write after the snapshot must copy instead of
+/// mutating what the reader matches against. Node 1 of a line 0 - 1 - 2
+/// (sources at 0, subscribers at 2) holds 40 `R` and 40 `S` forwarding
+/// entries toward 2; with a reader held on the pre-churn snapshot, node 1
+/// then sees an unsubscribe, a covering-merge drop (`a >= 30` drops the
+/// ten point entries it covers), a per-run sweep of the `R` threshold
+/// lists (21 of 41 `R` members dead, the table still mostly live), and a
+/// full compaction (20 `S` departures bring the table's tombstones to
+/// half). The held reader must still reproduce the pre-churn log and
+/// link stats, and a fresh snapshot the post-churn serial log.
+#[test]
+fn held_snapshot_is_isolated_from_churn_and_compaction() {
+    let mut topo = Topology::new(3);
+    topo.add_edge(NodeId(0), NodeId(1), 1.0);
+    topo.add_edge(NodeId(1), NodeId(2), 2.0);
+    let mut net = BrokerNetwork::new(topo);
+    net.advertise("R", NodeId(0));
+    net.advertise("S", NodeId(0));
+    let point = |id: u64, stream: &str, attr: &str, op: CmpOp, v: i64| {
+        // Alternate projections so class and hop-union plans change too.
+        let proj = if id.is_multiple_of(2) {
+            StreamProjection::All
+        } else {
+            StreamProjection::attrs([attr])
+        };
+        let filter = Predicate::Cmp { attr: AttrRef::new(stream, attr), op, value: Scalar::Int(v) };
+        Subscription::builder(NodeId(2)).id(SubId(id)).stream(stream, proj, vec![filter]).build()
+    };
+    for i in 0..40u64 {
+        net.subscribe(point(i, "R", "a", CmpOp::Eq, i as i64));
+        net.subscribe(point(100 + i, "S", "b", CmpOp::Eq, i as i64));
+    }
+    let msgs: Vec<Message> = (0..90i64)
+        .map(|i| {
+            let stream = if i % 2 == 0 { "R" } else { "S" };
+            Message::new(stream, i).with("a", Scalar::Int(i / 2)).with("b", Scalar::Int(i / 2))
+        })
+        .collect();
+    let serial = |net: &mut BrokerNetwork| {
+        net.reset_stats();
+        for msg in &msgs {
+            net.publish(msg.clone());
+        }
+        (net.log().deliveries().to_vec(), net.all_link_stats())
+    };
+    let published = |reader: &mut SnapshotReader| {
+        for (k, msg) in msgs.iter().enumerate() {
+            reader.publish_at(k as u64, msg.clone());
+        }
+        let out = reader.take_output();
+        (out.deliveries().cloned().collect::<Vec<_>>(), out.all_link_stats())
+    };
+    let before = serial(&mut net);
+    let mut held = net.reader();
+    assert_eq!(published(&mut held), before, "held reader before churn");
+
+    net.unsubscribe(SubId(0));
+    net.subscribe(point(200, "R", "a", CmpOp::Ge, 30));
+    for i in 1..=10u64 {
+        net.unsubscribe(SubId(i));
+    }
+    for i in 0..20u64 {
+        net.unsubscribe(SubId(100 + i));
+    }
+    net.check_ledger_consistency().expect("ledger consistent after churn");
+    let after = serial(&mut net);
+    assert_ne!(after, before, "the churn must change what is delivered");
+
+    assert_eq!(published(&mut held), before, "held reader after churn");
+    assert_eq!(published(&mut net.reader()), after, "fresh snapshot after churn");
 }
 
 /// `publish_shared` must observe churn as soon as it commits: the

@@ -160,11 +160,9 @@ impl RecoverySim {
     /// [`RecoveryParams::validate`]).
     pub fn new(lossy: LossyNetwork, params: RecoveryParams) -> Result<Self, String> {
         params.validate()?;
-        Ok(Self {
-            r: RecoveryNetwork::new(lossy, params.checkpoint_interval),
-            params,
-            crash_stack: Vec::new(),
-        })
+        let r =
+            RecoveryNetwork::new(lossy, params.checkpoint_interval).map_err(|e| e.to_string())?;
+        Ok(Self { r, params, crash_stack: Vec::new() })
     }
 
     /// The scenario knobs this simulator runs under.
