@@ -32,9 +32,14 @@
 //! `-par-` rows are excluded from the speed-factor median and reported as
 //! `skip` instead of pass/fail. Equal core counts guard them normally.
 //!
+//! The header names both hosts (`meta.cores` and `meta.cpu`), so a
+//! flagged row in a CI log can be told apart from a change of machine.
+//! Rows also carry `p10_ns` / `p90_ns`; the gate reads the median alone.
+//!
 //! The vendored `serde_json` stub has no parser, so this binary scans the
 //! snapshot's fixed shape directly: objects with a `"name"` string and a
-//! `"median_ns"` number, plus an optional `"cores"` count.
+//! `"median_ns"` number, plus an optional `"cores"` count and `"cpu"`
+//! label.
 
 use std::process::ExitCode;
 
@@ -77,17 +82,33 @@ fn parse_cores(text: &str) -> Option<u64> {
     num[..end].parse().ok()
 }
 
+/// Extracts the `"cpu"` label from a snapshot's `meta` block, if any.
+fn parse_cpu(text: &str) -> Option<&str> {
+    let at = text.find("\"cpu\"")?;
+    let after = &text[at + "\"cpu\"".len()..];
+    let value = &after[after.find('"')? + 1..];
+    Some(&value[..value.find('"')?])
+}
+
 /// Whether a benchmark's result scales with the host's core count (a
 /// thread-count variant) rather than just its single-thread speed.
 fn core_bound(name: &str) -> bool {
     name.contains("-par-")
 }
 
-fn load(path: &str) -> (Vec<(String, f64)>, Option<u64>) {
+/// A core count for display; `?` where the snapshot predates the field.
+fn cores_label(cores: Option<u64>) -> String {
+    cores.map_or("?".into(), |n| n.to_string())
+}
+
+/// Reads a snapshot's rows and core count, printing its host as `role`.
+fn load(role: &str, path: &str) -> (Vec<(String, f64)>, Option<u64>) {
     let body = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
     let rows = parse(&body);
     assert!(!rows.is_empty(), "no benchmark entries found in {path}");
-    (rows, parse_cores(&body))
+    let cores = parse_cores(&body);
+    println!("{role} host: {} cores, cpu {}", cores_label(cores), parse_cpu(&body).unwrap_or("?"));
+    (rows, cores)
 }
 
 /// One compared benchmark: name, baseline ns, current ns, and the
@@ -124,8 +145,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let tolerance: f64 = args.get(3).map_or(25.0, |t| t.parse().expect("numeric tolerance"));
-    let (baseline, base_cores) = load(&args[1]);
-    let (current, cur_cores) = load(&args[2]);
+    let (baseline, base_cores) = load("baseline", &args[1]);
+    let (current, cur_cores) = load("current ", &args[2]);
     // Thread-count variants only compare when both snapshots know their
     // host's core count and the counts match.
     let cores_match = matches!((base_cores, cur_cores), (Some(b), Some(c)) if b == c);
@@ -150,10 +171,7 @@ fn main() -> ExitCode {
         match current.iter().find(|(n, _)| n == name) {
             None => missing.push(name),
             Some((_, cur)) if !cores_match && core_bound(name) => {
-                let (b, c) = (
-                    base_cores.map_or("?".into(), |n| n.to_string()),
-                    cur_cores.map_or("?".into(), |n| n.to_string()),
-                );
+                let (b, c) = (cores_label(base_cores), cores_label(cur_cores));
                 println!("skip {name}: {base:.0} -> {cur:.0} ns (core count {b} vs {c})");
             }
             Some((_, cur)) => rows.push(Row::new(name, *base, *cur, speed)),
@@ -228,6 +246,21 @@ mod tests {
 }"#;
         assert_eq!(super::parse_cores(body), Some(8));
         assert_eq!(super::parse_cores(r#"{"benchmarks": []}"#), None);
+    }
+
+    #[test]
+    fn dispersion_fields_and_cpu_label_leave_the_gate_input_unchanged() {
+        let body = r#"{
+  "meta": { "cores": 2, "cpu": "Example CPU @ 2.00GHz" },
+  "benchmarks": [
+    { "name": "a/b", "p10_ns": 100.0, "median_ns": 123.5, "p90_ns": 150.0 },
+    { "name": "c", "p10_ns": 6, "median_ns": 7, "p90_ns": 9 }
+  ]
+}"#;
+        assert_eq!(parse(body), vec![("a/b".to_string(), 123.5), ("c".to_string(), 7.0)]);
+        assert_eq!(super::parse_cores(body), Some(2));
+        assert_eq!(super::parse_cpu(body), Some("Example CPU @ 2.00GHz"));
+        assert_eq!(super::parse_cpu(r#"{"meta": {"cores": 1}}"#), None);
     }
 
     #[test]

@@ -96,10 +96,8 @@ pub fn banner(figure: &str, what: &str, args: &BenchArgs) {
     println!("    scale {} seed {}  (paper scale = 1.0)", args.scale, args.seed);
 }
 
-/// Shared micro-benchmark fixtures, used by **both** the criterion bench
-/// (`benches/micro.rs`) and the snapshot runner (`src/bin/bench_json.rs`)
-/// so the two always measure the identical workload — a population tweak
-/// applied to one cannot silently desynchronize the other.
+/// The broker, engine and optimizer fixtures of the micro-benchmark
+/// registry (`src/bin/bench_json.rs`).
 pub mod fixtures {
     use super::*;
 
@@ -124,8 +122,8 @@ pub mod fixtures {
     /// A 66-node transit-stub broker network with `n_subs` subscriptions
     /// spread over 30 subscriber nodes, thresholds cycling over 40
     /// distinct values — the scaling workload behind the
-    /// sublinear-matching claim (~62% of subscriptions match
-    /// [`scaling_message`]).
+    /// sublinear-matching claim (62.5% of subscriptions match
+    /// [`scaling_message`]`(`[`SCALING_A`]`)`).
     pub fn broker_with_subs(n_subs: u64) -> BrokerNetwork {
         let topo = TransitStubConfig::small().generate(3);
         let mut net = BrokerNetwork::new(topo);
@@ -150,10 +148,16 @@ pub mod fixtures {
         (leaf, parent, lat)
     }
 
-    /// The probe message for [`broker_with_subs`].
-    pub fn scaling_message() -> Message {
-        Message::new("R", 0).with("a", Scalar::Int(25))
+    /// The probe message for [`broker_with_subs`], carrying `a`: it
+    /// matches the subscriptions whose threshold (`i % 40`) lies below
+    /// `a`, i.e. `a / 40` of the population for `a` in `0..=40`.
+    pub fn scaling_message(a: i64) -> Message {
+        Message::new("R", 0).with("a", Scalar::Int(a))
     }
+
+    /// The `a` of the benchmarked [`scaling_message`]: 62.5% of the
+    /// population matches.
+    pub const SCALING_A: i64 = 25;
 
     /// A broker of the scaling topology suitable for whole-node
     /// fail/restore churn: the non-subscriber node whose dissemination
